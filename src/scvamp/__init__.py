@@ -12,22 +12,19 @@ from .channel import (
     bpsk,
     gen_h_blockdiag,
     gen_h_iid,
-    load_matrix_text,
     realize,
-    save_matrix_text,
     substream,
     transmit,
 )
 from .codes import builtin_code_ids, load_builtin
-from .coupling import MixingMatrix, coupling_posterior, coupling_step, precompute
+from .coupling import MixingMatrix, coupling_posterior, precompute
 from .denoiser import (
     LLR_MAX,
     AlistParseError,
     LdpcCode,
     LlrVector,
+    bernoulli_moments,
     bp_decode,
-    denoiser_step,
-    denoiser_step_llr_subtraction,
     encode,
     llr_from_pseudo,
     load_alist,
@@ -50,7 +47,6 @@ from .likelihood import (
     gh_rule,
     likelihood_step,
     log_normalizer,
-    scalar_moments,
 )
 from .messages import (
     DEFAULT_EPSILON,
@@ -62,16 +58,13 @@ from .messages import (
     extrinsic,
 )
 from .runner import (
+    POLICIES,
     DecodeResult,
     IterationTrace,
+    Policy,
     Variant,
     hard_decision,
-    run_llr_turbo,
-    run_no_onsager,
-    run_scvamp2_mismatched,
-    run_scvamp3,
     run_variant,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

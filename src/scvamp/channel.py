@@ -106,23 +106,3 @@ def realize(scenario: TrialScenario) -> Realization:
     y, w = transmit(x, scenario)
     return Realization(info, codeword, x, w, y)
 
-
-def save_matrix_text(path, h) -> None:
-    """Dump a matrix in the debug text format: header 'M N', then row-major entries."""
-    h = np.asarray(h, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{h.shape[0]} {h.shape[1]}\n")
-        for row in h:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_text(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("matrix file must start with a 'M N' header line")
-        m, n = int(header[0]), int(header[1])
-        values = np.array(fh.read().split(), dtype=np.float64)
-    if values.size != m * n:
-        raise ValueError(f"matrix file body has {values.size} entries, expected {m * n}")
-    return values.reshape(m, n)

@@ -56,13 +56,15 @@ def build_parser():
     parser.add_argument("--trials", type=int, default=50,
                         help="trial count for the mse-trace experiment")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for either experiment")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
     parser.add_argument("--capacity-db", type=float, default=None,
                         help="capacity estimate echoed into the CSV metadata")
     parser.add_argument("--early-stop", action="store_true",
-                        help="stop a trial once decisions are stable with zero syndrome")
+                        help="stop a trial once decisions are stable with zero syndrome "
+                             "(ber only)")
     return parser
 
 

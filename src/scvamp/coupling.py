@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .messages import (
-    DEFAULT_EPSILON,
-    GaussianMessage,
-    PosteriorSummary,
-    clip_alpha,
-    extrinsic,
-)
+from .messages import DEFAULT_EPSILON, GaussianMessage, PosteriorSummary, clip_alpha
 
 
 @dataclass(frozen=True)
@@ -148,19 +142,3 @@ def coupling_posterior(
     w_post = PosteriorSummary(w_mean, v_post_w, clip_alpha(alpha_w_raw, epsilon))
     return x_post, w_post
 
-
-def coupling_step(
-    rx: GaussianMessage,
-    rw: GaussianMessage,
-    mix: MixingMatrix,
-    epsilon=DEFAULT_EPSILON,
-) -> tuple[GaussianMessage, GaussianMessage, np.ndarray]:
-    """One full pass of the coupling stage: extrinsic messages to both sides.
-
-    Also returns the x posterior mean, which is what hard decisions and MSE
-    traces are taken from.
-    """
-    x_post, w_post = coupling_posterior(rx, rw, mix, epsilon)
-    ext_x = extrinsic(rx, x_post)
-    ext_w = extrinsic(rw, w_post)
-    return ext_x, ext_w, x_post.mean

@@ -1,10 +1,11 @@
-"""LDPC code-constraint stage: alist I/O, GF(2) encoder, BP decoding, denoising.
+"""LDPC code-constraint stage: alist I/O, GF(2) encoder, BP decoding.
 
 The code enters the receiver as a soft-input soft-output denoiser: the
-incoming pseudo-observation is converted into channel LLRs ``L = 2 r / v``,
-run through flooding sum-product decoding on the Tanner graph, and the
-a-posteriori LLRs are mapped back to symbol moments ``tanh(L/2)``.  The
-Onsager coefficient is the variance-ratio surrogate posterior/input, since BP
+incoming pseudo-observation is converted into channel LLRs ``L = 2 r / v``
+(``llr_from_pseudo``), run through flooding sum-product decoding on the Tanner
+graph (``bp_decode``), and the a-posteriori LLRs are mapped back to symbol
+moments ``tanh(L/2)`` (``bernoulli_moments``).  The runner takes the Onsager
+coefficient as the variance-ratio surrogate posterior/input, since BP
 posteriors on loopy graphs are approximate.
 
 Sign convention throughout: bit 0 maps to symbol +1, so positive LLR means
@@ -19,18 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .messages import (
-    DEFAULT_EPSILON,
-    GaussianMessage,
-    PosteriorSummary,
-    clip_alpha,
-    extrinsic,
-)
+from .messages import GaussianMessage
 
 LLR_MAX = 30.0
 _TANH_CLIP = 1.0 - 1e-12
-# saturated decodes can report exactly zero Bernoulli variance; messages need > 0
-_VARIANCE_FLOOR = 1e-15
 
 
 class AlistParseError(ValueError):
@@ -341,37 +334,8 @@ def llr_from_pseudo(rx: GaussianMessage) -> LlrVector:
     return LlrVector(np.clip(2.0 * rx.mean / rx.variance, -LLR_MAX, LLR_MAX))
 
 
-def _bernoulli_moments(llr_values):
+def bernoulli_moments(llr_values):
+    """Symbol means ``tanh(L/2)`` and their trace-averaged variance."""
     means = np.tanh(0.5 * llr_values)
     variance = float(np.mean(1.0 - means * means)) if means.size else 0.0
     return means, variance
-
-
-def denoiser_step(
-    rx: GaussianMessage,
-    code: LdpcCode,
-    bp_iterations: int,
-    epsilon=DEFAULT_EPSILON,
-) -> tuple[GaussianMessage, PosteriorSummary]:
-    """Code-constraint denoising with the Onsager-corrected extrinsic output."""
-    llr_in = llr_from_pseudo(rx)
-    llr_app = bp_decode(code, llr_in, bp_iterations)
-    means, v_post = _bernoulli_moments(llr_app.values)
-    post = PosteriorSummary(means, v_post, clip_alpha(v_post / rx.variance, epsilon))
-    return extrinsic(rx, post), post
-
-
-def denoiser_step_llr_subtraction(
-    rx: GaussianMessage,
-    code: LdpcCode,
-    bp_iterations: int,
-) -> GaussianMessage:
-    """Ablation variant: classical extrinsic LLR subtraction L_ext = L_app - L_in.
-
-    The extrinsic LLRs are mapped back to a mean-variance message through the
-    Bernoulli moments so the result can flow through the coupling stage.
-    """
-    llr_in = llr_from_pseudo(rx)
-    llr_app = bp_decode(code, llr_in, bp_iterations)
-    means, var = _bernoulli_moments(llr_app.values - llr_in.values)
-    return GaussianMessage(means, max(var, _VARIANCE_FLOOR))

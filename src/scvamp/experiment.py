@@ -1,10 +1,11 @@
 """Monte Carlo BER sweeps and MSE-convergence traces with CSV output.
 
 Trials are indexed by (snr, seed).  Every variant run at a given (snr, seed)
-consumes the identical channel realization, and each variant keeps drawing
-seeds in order until it has collected ``min_errors`` errors or the seed cap
-binds.  Work may be dispatched to a process pool in fixed-size seed blocks,
-but results are always consumed strictly in seed order, so the output is
+consumes the identical channel realization.  In a BER sweep each variant keeps
+drawing seeds in order until it has collected ``min_errors`` errors or the
+seed cap binds; an MSE trace runs a fixed number of seeds.  Both experiments
+dispatch work to an optional process pool in fixed-size seed blocks, but
+results are always consumed strictly in seed order, so the output is
 byte-identical at any worker count (results computed past a variant's
 stopping seed are discarded).
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +60,9 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_db_list:
             raise ValueError("snr_db_list must not be empty")
-        if self.min_errors < 1 or self.max_seeds < 1:
-            raise ValueError("min_errors and max_seeds must be at least 1")
+        for name in ("min_errors", "max_seeds", "outer_iters", "bp_iters", "mse_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.error_unit not in ("bit", "frame"):
             raise ValueError(f"error_unit must be 'bit' or 'frame', got {self.error_unit!r}")
         if self.workers < 1:
@@ -68,6 +71,8 @@ class SweepConfig:
         object.__setattr__(
             self, "variants", tuple(Variant(v) for v in self.variants)
         )
+        if len(set(self.variants)) != len(self.variants):
+            raise ValueError("variants must not repeat")
 
 
 @dataclass
@@ -143,8 +148,24 @@ def _pool_init(code, config):
     _POOL_STATE["config"] = config
 
 
+@contextmanager
+def _worker_pool(code, config):
+    """A spawned process pool for ``config.workers > 1``, otherwise ``None``."""
+    if config.workers == 1:
+        yield None
+        return
+    pool = multiprocessing.get_context("spawn").Pool(
+        config.workers, initializer=_pool_init, initargs=(code, config)
+    )
+    try:
+        yield pool
+    finally:
+        pool.close()
+        pool.join()
+
+
 def _seed_outcomes(code, config, snr_db, seed, variant_values):
-    """(bit_errors, frame_error, diverged) per requested variant for one seed."""
+    """(bit_errors, diverged, mse trace) per requested variant for one seed."""
     scenario = build_scenario(
         code, config.h_mode, snr_db, config.nonlinearity, config.quadrature_order, seed
     )
@@ -155,7 +176,7 @@ def _seed_outcomes(code, config, snr_db, seed, variant_values):
             Variant(value), truth.y, scenario, config.outer_iters, config.bp_iters,
             early_stop=config.early_stop, truth=truth,
         )
-        out[value] = (res.bit_errors, int(res.bit_errors > 0), int(res.diverged))
+        out[value] = (res.bit_errors, int(res.diverged), res.trace.mse)
     return out
 
 
@@ -165,20 +186,20 @@ def _pool_task(args):
                           variant_values)
 
 
-def _iterate_blocks(pool, code, config, snr_db, consume):
+def _iterate_blocks(pool, code, config, snr_db, seed_count, consume):
     """Dispatch seeds in fixed blocks; ``consume(seed, outcomes) -> still_active``.
 
     ``consume`` is called strictly in seed order and returns the variants that
-    remain active; dispatching stops once none are.
+    remain active; dispatching stops once none are or ``seed_count`` seeds ran.
     """
     active = list(config.variants)
     next_seed = 0
-    while active and next_seed < config.max_seeds:
-        block = range(next_seed, min(next_seed + _BLOCK_SIZE, config.max_seeds))
+    while active and next_seed < seed_count:
+        block = range(next_seed, min(next_seed + _BLOCK_SIZE, seed_count))
         values = tuple(v.value for v in active)
         tasks = [(snr_db, config.master_seed + s, values) for s in block]
         if pool is None:
-            results = [_seed_outcomes(code, config, *task[:2], task[2]) for task in tasks]
+            results = [_seed_outcomes(code, config, *task) for task in tasks]
         else:
             results = pool.map(_pool_task, tasks)
         for seed, outcomes in zip(block, results):
@@ -191,46 +212,33 @@ def _iterate_blocks(pool, code, config, snr_db, consume):
 def ber_sweep(config: SweepConfig):
     """Adaptive-seeding BER sweep; returns BerPoints and writes the CSV if asked."""
     code, code_label = load_code(config.code)
-    pool = None
-    try:
-        if config.workers > 1:
-            pool = multiprocessing.get_context().Pool(
-                config.workers, initializer=_pool_init, initargs=(code, config)
-            )
-        points = []
+
+    def metric(tally):
+        return tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
+
+    points = []
+    with _worker_pool(code, config) as pool:
         for snr_db in config.snr_db_list:
             tallies = {v: BerPoint(snr_db, v) for v in config.variants}
 
             def consume(seed, outcomes, tallies=tallies):
                 still = []
                 for variant in config.variants:
-                    if variant.value not in outcomes:
-                        continue
                     tally = tallies[variant]
-                    metric = (
-                        tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
-                    )
-                    if metric >= config.min_errors:
-                        continue  # stopped earlier in this block; discard
-                    bits_err, frame_err, diverged = outcomes[variant.value]
+                    if variant.value not in outcomes or metric(tally) >= config.min_errors:
+                        continue  # inactive, or stopped earlier in this block
+                    bits_err, diverged, _ = outcomes[variant.value]
                     tally.frames += 1
                     tally.bits_simulated += code.n
                     tally.bit_errors += bits_err
-                    tally.frame_errors += frame_err
+                    tally.frame_errors += int(bits_err > 0)
                     tally.diverged_frames += diverged
-                    metric = (
-                        tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
-                    )
-                    if metric < config.min_errors:
+                    if metric(tally) < config.min_errors:
                         still.append(variant)
                 return still
 
-            _iterate_blocks(pool, code, config, snr_db, consume)
+            _iterate_blocks(pool, code, config, snr_db, config.max_seeds, consume)
             points.extend(tallies[v] for v in config.variants)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
 
     if config.output_path:
         _write_ber_csv(config, code, code_label, points)
@@ -241,38 +249,30 @@ def mse_trace_experiment(config: SweepConfig):
     """Per-iteration mean/median MSE across a fixed trial count at one SNR.
 
     Iteration 0 is the initialization (zero estimate), whose MSE is exactly 1
-    for BPSK.  Returns {variant: (mean_per_iter, median_per_iter)} and writes
-    the CSV if an output path is configured.
+    for BPSK.  Every trial runs all ``outer_iters`` iterations, so early
+    stopping is rejected.  Returns {variant: (mean_per_iter, median_per_iter)}
+    and writes the CSV if an output path is configured.
     """
     if len(config.snr_db_list) != 1:
         raise ValueError("mse trace runs at exactly one SNR")
-    snr_db = config.snr_db_list[0]
+    if config.early_stop:
+        raise ValueError("early stopping applies to BER sweeps only, not to mse trace")
     code, _ = load_code(config.code)
     iters = config.outer_iters
     per_variant = {v: np.ones((config.mse_trials, iters + 1)) for v in config.variants}
 
-    def one_seed(seed):
-        scenario = build_scenario(
-            code, config.h_mode, snr_db, config.nonlinearity, config.quadrature_order,
-            config.master_seed + seed,
-        )
-        truth = realize(scenario)
-        out = {}
+    def consume(seed, outcomes):
         for variant in config.variants:
-            res = run_variant(
-                variant, truth.y, scenario, iters, config.bp_iters, truth=truth
-            )
-            out[variant] = res.trace.mse
-        return out
-
-    for seed in range(config.mse_trials):
-        traces = one_seed(seed)
-        for variant, mse in traces.items():
+            mse = outcomes[variant.value][2]
             # index 0 already holds the exact init MSE of 1; a trace cut short
             # by divergence keeps its last recorded value for the remaining rows
             per_variant[variant][seed, 1:1 + mse.shape[0]] = mse
             if mse.shape[0] and mse.shape[0] < iters:
                 per_variant[variant][seed, 1 + mse.shape[0]:] = mse[-1]
+        return config.variants
+
+    with _worker_pool(code, config) as pool:
+        _iterate_blocks(pool, code, config, config.snr_db_list[0], config.mse_trials, consume)
 
     summary = {
         v: (np.mean(arr, axis=0), np.median(arr, axis=0)) for v, arr in per_variant.items()

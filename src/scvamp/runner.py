@@ -1,24 +1,30 @@
 """Outer iteration schedule of the three-stage receiver plus ablation variants.
 
-One iteration: the coupling stage produces extrinsic messages to both sides
-from the current pair of pseudo-observations; the code denoiser consumes the
-x-side output and refreshes ``(r_x, v_x)``; the observation stage consumes the
+One iteration: the coupling stage produces messages to both sides from the
+current pair of pseudo-observations; the code denoiser consumes the x-side
+output and refreshes ``(r_x, v_x)``; the observation stage consumes the
 w-side output and refreshes ``(r_w, v_w)``.  The two refreshes read only the
 coupling outputs, so their order does not matter.  Initialization is the
 non-informative ``(0, 1)`` on the x side (zero mean, unit variance for BPSK)
 and ``(y, sigma2)`` on the w side.
 
-Variants:
+Every variant runs the same loop; they differ only in per-stage policy, one
+row of ``POLICIES`` each:
 
-* ``scvamp3``           - full Onsager correction on all stages.
-* ``scvamp2-mismatched``- the observation stage is frozen at the constant
-                          message ``(y, sigma2)`` (exactly the identity-f
-                          behaviour) regardless of the true nonlinearity.
-* ``no-onsager``        - every stage forwards its posterior (mean and
-                          posterior variance) instead of the extrinsic message.
-* ``llr-turbo``         - coupling and observation stages keep the Onsager
-                          correction, the decoder uses classical LLR
-                          subtraction.
+    variant             onsager  observer_live  llr_subtraction
+    scvamp3             yes      yes            no
+    scvamp2-mismatched  yes      no             no
+    no-onsager          no       yes            no
+    llr-turbo           yes      yes            yes
+
+* ``onsager`` - every stage forwards its Onsager-corrected extrinsic message;
+  otherwise it forwards its posterior (mean and posterior variance).
+* ``observer_live`` - the observation stage reruns every iteration; otherwise
+  it stays frozen at ``(y, sigma2)`` (exactly the identity-f behaviour)
+  regardless of the true nonlinearity.
+* ``llr_subtraction`` - the decoder forwards the classical extrinsic LLRs
+  ``L_app - L_in`` mapped to Bernoulli moments instead of its ``onsager``
+  output.
 
 No damping is applied anywhere.  A non-finite message aborts the trial with
 the divergence flag set and every bit of the frame scored as an error.
@@ -28,18 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
 from .channel import Realization, TrialScenario, realize
 from .coupling import coupling_posterior
-from .denoiser import (
-    _VARIANCE_FLOOR,
-    _bernoulli_moments,
-    bp_decode,
-    llr_from_pseudo,
-    syndrome,
-)
+from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
 from .likelihood import likelihood_step
 from .messages import (
     DEFAULT_EPSILON,
@@ -50,8 +51,9 @@ from .messages import (
     extrinsic,
 )
 
-# posterior-forwarding variants can produce exactly-zero variances; keep legal
-_FORWARD_FLOOR = 1e-30
+# forwarded posteriors and saturated decodes can carry exactly-zero variance;
+# messages need > 0
+_VARIANCE_FLOOR = 1e-15
 
 
 class Variant(str, Enum):
@@ -66,6 +68,23 @@ class Variant(str, Enum):
             if v.value == name:
                 return v
         raise ValueError(f"unknown variant {name!r}; known: {[v.value for v in cls]}")
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Per-stage behaviour of one variant (see the module docstring)."""
+
+    onsager: bool = True
+    observer_live: bool = True
+    llr_subtraction: bool = False
+
+
+POLICIES = MappingProxyType({
+    Variant.SCVAMP3: Policy(),
+    Variant.SCVAMP2_MISMATCHED: Policy(observer_live=False),
+    Variant.NO_ONSAGER: Policy(onsager=False),
+    Variant.LLR_TURBO: Policy(llr_subtraction=True),
+})
 
 
 @dataclass(frozen=True)
@@ -100,14 +119,8 @@ def hard_decision(means) -> np.ndarray:
     return np.where(np.asarray(means) >= 0.0, 1.0, -1.0)
 
 
-def _decoder_pass(rx_msg, code, bp_iterations, epsilon):
-    """BP posterior plus both extrinsic flavours, from a single decode."""
-    llr_in = llr_from_pseudo(rx_msg)
-    llr_app = bp_decode(code, llr_in, bp_iterations)
-    means, v_post = _bernoulli_moments(llr_app.values)
-    alpha_raw = v_post / rx_msg.variance
-    post = PosteriorSummary(means, v_post, clip_alpha(alpha_raw, epsilon))
-    return llr_in, llr_app, post, alpha_raw
+def _posterior_message(post: PosteriorSummary) -> GaussianMessage:
+    return GaussianMessage(post.mean, max(post.variance, _VARIANCE_FLOOR))
 
 
 def run_variant(
@@ -129,13 +142,15 @@ def run_variant(
     """
     if int(outer_iters) < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
-    variant = Variant(variant)
+    policy = POLICIES[Variant(variant)]
     if truth is None:
         truth = realize(scenario)
     y = np.asarray(y, dtype=np.float64)
     code, mix, spec = scenario.code, scenario.h, scenario.spec
     n = code.n
-    onsager = variant is not Variant.NO_ONSAGER
+
+    def forward(msg_in, post):
+        return extrinsic(msg_in, post) if policy.onsager else _posterior_message(post)
 
     mse, vxs, vws, alphas = [], [], [], []
     x_hat = np.zeros(n)
@@ -144,50 +159,33 @@ def run_variant(
     diverged = False
 
     try:
-        rx_msg = GaussianMessage(np.zeros(n), 1.0)
-        rw_msg = GaussianMessage(y, spec.noise_variance)
+        observed = GaussianMessage(y, spec.noise_variance)
+        rx_msg, rw_msg = GaussianMessage(np.zeros(n), 1.0), observed
         for t in range(1, int(outer_iters) + 1):
             x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix, epsilon)
             alpha_c_raw = x_post_c.variance / rx_msg.variance
-            if onsager:
-                to_denoiser = extrinsic(rx_msg, x_post_c)
-                to_observer = extrinsic(rw_msg, w_post_c)
-            else:
-                to_denoiser = GaussianMessage(
-                    x_post_c.mean, max(x_post_c.variance, _FORWARD_FLOOR)
-                )
-                to_observer = GaussianMessage(
-                    w_post_c.mean, max(w_post_c.variance, _FORWARD_FLOOR)
-                )
+            to_denoiser = forward(rx_msg, x_post_c)
+            to_observer = forward(rw_msg, w_post_c)
 
-            if variant is Variant.LLR_TURBO:
-                llr_in, llr_app, post_b, alpha_b_raw = _decoder_pass(
-                    to_denoiser, code, bp_iters, epsilon
-                )
-                ext_means, ext_var = _bernoulli_moments(llr_app.values - llr_in.values)
+            llr_in = llr_from_pseudo(to_denoiser)
+            llr_app = bp_decode(code, llr_in, bp_iters)
+            means, v_post_b = bernoulli_moments(llr_app.values)
+            alpha_b_raw = v_post_b / to_denoiser.variance
+            post_b = PosteriorSummary(means, v_post_b, clip_alpha(alpha_b_raw, epsilon))
+            if policy.llr_subtraction:
+                ext_means, ext_var = bernoulli_moments(llr_app.values - llr_in.values)
                 rx_msg = GaussianMessage(ext_means, max(ext_var, _VARIANCE_FLOOR))
             else:
-                _, _, post_b, alpha_b_raw = _decoder_pass(to_denoiser, code, bp_iters, epsilon)
-                if onsager:
-                    rx_msg = extrinsic(to_denoiser, post_b)
-                else:
-                    rx_msg = GaussianMessage(
-                        post_b.mean, max(post_b.variance, _FORWARD_FLOOR)
-                    )
+                rx_msg = forward(to_denoiser, post_b)
             x_hat = post_b.mean
 
-            if variant is Variant.SCVAMP2_MISMATCHED:
-                rw_msg = GaussianMessage(y, spec.noise_variance)
-                alpha_a_raw = np.nan
-            else:
+            if policy.observer_live:
                 ext_w, post_a = likelihood_step(to_observer, y, spec, epsilon)
                 alpha_a_raw = post_a.variance / to_observer.variance
-                if onsager:
-                    rw_msg = ext_w
-                else:
-                    rw_msg = GaussianMessage(
-                        post_a.mean, max(post_a.variance, _FORWARD_FLOOR)
-                    )
+                rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
+            else:
+                alpha_a_raw = np.nan
+                rw_msg = observed
 
             mse.append(float(np.mean((x_hat - truth.symbols) ** 2)))
             vxs.append(rx_msg.variance)
@@ -219,23 +217,3 @@ def run_variant(
     else:
         bit_errors = int(np.count_nonzero(hard_bits != truth.codeword))
     return DecodeResult(hard_bits, bit_errors, converged_at, trace, diverged)
-
-
-def run_scvamp3(y, scenario, outer_iters=20, bp_iters=20, **kwargs) -> DecodeResult:
-    """Full three-stage receiver with Onsager correction everywhere."""
-    return run_variant(Variant.SCVAMP3, y, scenario, outer_iters, bp_iters, **kwargs)
-
-
-def run_scvamp2_mismatched(y, scenario, outer_iters=20, bp_iters=20, **kwargs) -> DecodeResult:
-    """Two-stage baseline that treats the channel as linear (y = H x + z)."""
-    return run_variant(Variant.SCVAMP2_MISMATCHED, y, scenario, outer_iters, bp_iters, **kwargs)
-
-
-def run_no_onsager(y, scenario, outer_iters=20, bp_iters=20, **kwargs) -> DecodeResult:
-    """Ablation: posteriors forwarded directly, no extrinsic subtraction."""
-    return run_variant(Variant.NO_ONSAGER, y, scenario, outer_iters, bp_iters, **kwargs)
-
-
-def run_llr_turbo(y, scenario, outer_iters=20, bp_iters=20, **kwargs) -> DecodeResult:
-    """Ablation: classical LLR subtraction in the decoder stage."""
-    return run_variant(Variant.LLR_TURBO, y, scenario, outer_iters, bp_iters, **kwargs)

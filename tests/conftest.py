@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from scvamp.denoiser import LdpcCode, parse_alist
+from scvamp.likelihood import likelihood_step
+from scvamp.messages import GaussianMessage
 
 HAMMING74_ALIST = """\
 7 3
@@ -39,3 +42,10 @@ def spc3():
 @pytest.fixture
 def hamming74():
     return parse_alist(HAMMING74_ALIST)
+
+
+def component_moments(r, v, y, spec):
+    """Posterior mean and second moment of one component from the observation stage."""
+    _, post = likelihood_step(GaussianMessage(np.array([float(r)]), v), np.array([float(y)]), spec)
+    m1 = float(post.mean[0])
+    return m1, post.variance + m1 * m1

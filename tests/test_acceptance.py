@@ -9,6 +9,7 @@ everything else finishes in seconds.
 import numpy as np
 import pytest
 
+from conftest import component_moments
 from oracles import (
     dense_coupling,
     exhaustive_symbol_posterior,
@@ -20,9 +21,9 @@ from scvamp.codes import BUILTIN_CODES, load_builtin
 from scvamp.coupling import coupling_posterior, precompute
 from scvamp.denoiser import LdpcCode, LlrVector, bp_decode, parse_alist, serialize_alist
 from scvamp.experiment import SweepConfig, ber_sweep, build_scenario, wilson_interval
-from scvamp.likelihood import ChannelSpec, likelihood_step, log_normalizer, scalar_moments
+from scvamp.likelihood import ChannelSpec, likelihood_step, log_normalizer
 from scvamp.messages import GaussianMessage, PosteriorSummary, combine, extrinsic
-from scvamp.runner import Variant, run_scvamp2_mismatched, run_scvamp3, run_variant
+from scvamp.runner import Variant, run_variant
 
 
 def _report(criterion, ok, detail):
@@ -65,7 +66,7 @@ def test_criterion_02_likelihood_vs_dense_integration():
         w_true = rng.normal(0.0, 1.0)
         r = w_true + np.sqrt(v) * rng.normal()
         y = np.tanh(w_true) + np.sqrt(s2) * rng.normal()
-        m1, m2 = scalar_moments(r, v, y, ChannelSpec("tanh", s2, 50))
+        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
         m1o, m2o = trapezoid_tanh_moments(r, v, y, s2)
         worst = max(worst, abs(m1 - m1o) / max(abs(m1o), 1e-3),
                     abs(m2 - m2o) / max(abs(m2o), 1e-3))
@@ -126,10 +127,10 @@ def test_criterion_04_tweedie_and_stein_finite_differences():
                     h_fd = 1e-4 * np.sqrt(v)
                     grad = (log_normalizer(r + h_fd, v, y, spec)
                             - log_normalizer(r - h_fd, v, y, spec)) / (2 * h_fd)
-                    m1, m2 = scalar_moments(r, v, y, spec)
+                    m1, m2 = component_moments(r, v, y, spec)
                     worst = max(worst, abs(v * grad - (m1 - r)))
-                    sp = (scalar_moments(r + h_fd, v, y, spec)[0] - (r + h_fd)) / v
-                    sm = (scalar_moments(r - h_fd, v, y, spec)[0] - (r - h_fd)) / v
+                    sp = (component_moments(r + h_fd, v, y, spec)[0] - (r + h_fd)) / v
+                    sm = (component_moments(r - h_fd, v, y, spec)[0] - (r - h_fd)) / v
                     ds = (sp - sm) / (2 * h_fd)
                     worst = max(worst, abs((m2 - m1 * m1) - (v + v * v * ds)))
     _report(4, worst <= 1e-5, f"finite-difference suites, worst deviation {worst:.2e} <= 1e-5")
@@ -166,8 +167,8 @@ def test_criterion_06_identity_reduction():
     for seed in range(3):
         scenario = build_scenario(code, "iid:128x128", 6.0, "id", 50, seed)
         truth = realize(scenario)
-        a = run_scvamp3(truth.y, scenario, 20, 20, truth=truth)
-        b = run_scvamp2_mismatched(truth.y, scenario, 20, 20, truth=truth)
+        a = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
+        b = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
         worst_trace = max(
             worst_trace,
             float(np.max(np.abs(a.trace.mse - b.trace.mse))),

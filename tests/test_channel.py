@@ -6,9 +6,7 @@ from scvamp.channel import (
     bpsk,
     gen_h_blockdiag,
     gen_h_iid,
-    load_matrix_text,
     realize,
-    save_matrix_text,
     substream,
     transmit,
 )
@@ -142,17 +140,3 @@ def test_scenario_snr():
     mix = gen_h_iid(4, 4, substream(0, "H"))
     scenario = TrialScenario(code, mix, ChannelSpec("id", 0.25), seed=0)
     assert scenario.snr == pytest.approx(4.0)
-
-
-def test_matrix_text_roundtrip(tmp_path):
-    h = np.random.default_rng(9).normal(size=(3, 5))
-    path = tmp_path / "h.txt"
-    save_matrix_text(path, h)
-    np.testing.assert_array_equal(load_matrix_text(path), h)
-
-
-def test_matrix_text_rejects_truncated(tmp_path):
-    path = tmp_path / "h.txt"
-    path.write_text("2 3\n1.0 2.0\n")
-    with pytest.raises(ValueError):
-        load_matrix_text(path)

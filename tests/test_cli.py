@@ -93,6 +93,22 @@ def test_sweep_config_validation(small_code_path):
     with pytest.raises(ValueError):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     error_unit="nibble")
+    with pytest.raises(ValueError, match="repeat"):
+        SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                    variants=("scvamp3", "llr-turbo", "scvamp3"))
+    for field in ("outer_iters", "bp_iters", "mse_trials"):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                        **{field: 0})
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--outer-iters", "--bp-iters"])
+def test_zero_count_is_usage_error(small_code_path, tmp_path, flag):
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, tmp_path / "o.csv")
+             + ["--experiment", "mse-trace", flag, "0"])
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_forced_single_clean_frame(small_code_path, tmp_path):
@@ -148,18 +164,20 @@ def test_ber_csv_schema_and_rows(small_code_path, tmp_path):
 
 
 def test_csv_deterministic_across_worker_counts(small_code_path, tmp_path):
-    outs = []
-    for workers, name in [(1, "a.csv"), (2, "b.csv"), (1, "c.csv")]:
-        out = tmp_path / name
-        cfg = SweepConfig(
-            snr_db_list=(1.0, 3.0), code=small_code_path, h_mode="iid:48x48",
-            variants=(Variant.SCVAMP3, Variant.LLR_TURBO),
-            min_errors=3, max_seeds=5, output_path=str(out),
-            deterministic=True, workers=workers,
-        )
-        ber_sweep(cfg)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    ber = dict(snr_db_list=(1.0, 3.0), variants=(Variant.SCVAMP3, Variant.LLR_TURBO),
+               min_errors=3, max_seeds=5)
+    # 18 trials span two dispatch blocks
+    mse = dict(snr_db_list=(3.0,), variants=(Variant.SCVAMP3, Variant.NO_ONSAGER),
+               outer_iters=8, mse_trials=18, experiment="mse-trace")
+    for run, fields in ((ber_sweep, ber), (mse_trace_experiment, mse)):
+        outs = []
+        for workers, name in [(1, "a.csv"), (2, "b.csv"), (1, "c.csv")]:
+            out = tmp_path / f"{fields.get('experiment', 'ber')}-{name}"
+            cfg = SweepConfig(code=small_code_path, h_mode="iid:48x48", output_path=str(out),
+                              deterministic=True, workers=workers, **fields)
+            run(cfg)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
 
 def test_mse_trace_experiment(small_code_path, tmp_path):
@@ -183,6 +201,13 @@ def test_mse_trace_experiment(small_code_path, tmp_path):
 def test_mse_trace_requires_single_snr(small_code_path):
     cfg = SweepConfig(snr_db_list=(5.0, 6.0), code=small_code_path, h_mode="iid:48x48")
     with pytest.raises(ValueError):
+        mse_trace_experiment(cfg)
+
+
+def test_mse_trace_rejects_early_stop(small_code_path):
+    cfg = SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                      early_stop=True)
+    with pytest.raises(ValueError, match="early stopping"):
         mse_trace_experiment(cfg)
 
 

@@ -9,16 +9,15 @@ from scvamp.denoiser import (
     AlistParseError,
     LdpcCode,
     LlrVector,
+    bernoulli_moments,
     bp_decode,
-    denoiser_step,
-    denoiser_step_llr_subtraction,
     encode,
     llr_from_pseudo,
     parse_alist,
     serialize_alist,
     syndrome,
 )
-from scvamp.messages import GaussianMessage
+from scvamp.messages import GaussianMessage, PosteriorSummary, clip_alpha, extrinsic
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +220,26 @@ def test_bp_parity_valid_after_successful_decode(hamming74):
 
 
 # ---------------------------------------------------------------------------
-# denoiser steps
+# the decoder as a denoiser: BP posteriors mapped to symbol moments
 # ---------------------------------------------------------------------------
 
-def test_denoiser_step_saturated_decode(hamming74):
+def _denoise(rx, code, iterations):
+    """Onsager-corrected denoiser output, as the receiver forms it."""
+    means, v_post = bernoulli_moments(bp_decode(code, llr_from_pseudo(rx), iterations).values)
+    post = PosteriorSummary(means, v_post, clip_alpha(v_post / rx.variance))
+    return extrinsic(rx, post), post
+
+
+def _llr_subtraction(rx, code, iterations):
+    """Bernoulli moments of the classical extrinsic LLRs L_app - L_in."""
+    llr_in = llr_from_pseudo(rx)
+    return bernoulli_moments(bp_decode(code, llr_in, iterations).values - llr_in.values)
+
+
+def test_denoiser_saturated_decode(hamming74):
     word = encode(hamming74, np.array([1, 0, 1, 1], dtype=np.uint8))
     rx = GaussianMessage(50.0 * (1.0 - 2.0 * word.astype(float)), 1e-2)
-    ext, post = denoiser_step(rx, hamming74, 5)
+    ext, post = _denoise(rx, hamming74, 5)
     np.testing.assert_allclose(np.abs(post.mean), 1.0, atol=1e-12)
     assert post.variance < 1e-12
     assert post.alpha == pytest.approx(1e-6)
@@ -237,28 +249,28 @@ def test_denoiser_step_saturated_decode(hamming74):
     assert ext.variance == pytest.approx(1e-6 / (1 - 1e-6) * rx.variance, rel=1e-9)
 
 
-def test_denoiser_step_uncoded_is_scalar_bpsk_mmse():
+def test_denoiser_uncoded_is_scalar_bpsk_mmse():
     code = LdpcCode.from_checks(5, [])
     rng = np.random.default_rng(8)
     r = rng.normal(size=5)
     rx = GaussianMessage(r, 0.8)
-    _, post = denoiser_step(rx, code, 3)
+    _, post = _denoise(rx, code, 3)
     np.testing.assert_allclose(post.mean, np.tanh(r / 0.8), rtol=1e-12)
 
 
-def test_denoiser_step_matches_exhaustive_posterior(spc3):
+def test_denoiser_matches_exhaustive_posterior(spc3):
     rx = GaussianMessage(np.ones(3), 1.0)
-    _, post = denoiser_step(rx, spc3, 1)
+    _, post = _denoise(rx, spc3, 1)
     oracle = exhaustive_symbol_posterior(3, spc3.checks, 2.0 * np.ones(3))
     np.testing.assert_allclose(post.mean, oracle, atol=1e-10)
 
 
-def test_denoiser_step_moments_bounded():
+def test_denoiser_moments_bounded():
     code = make_regular_code(48, seed=2)
     rng = np.random.default_rng(9)
     for _ in range(5):
         rx = GaussianMessage(rng.normal(scale=2.0, size=48), float(np.exp(rng.uniform(-2, 1))))
-        _, post = denoiser_step(rx, code, 10)
+        _, post = _denoise(rx, code, 10)
         assert np.all(np.abs(post.mean) <= 1.0)
         assert 0.0 <= post.variance <= 1.0
 
@@ -266,17 +278,17 @@ def test_denoiser_step_moments_bounded():
 def test_llr_subtraction_decoder_adds_nothing():
     code = LdpcCode.from_checks(4, [])  # no checks: L_app == L_in
     rx = GaussianMessage(np.array([0.5, -0.25, 1.0, 0.0]), 1.0)
-    ext = denoiser_step_llr_subtraction(rx, code, 5)
-    np.testing.assert_allclose(ext.mean, 0.0, atol=1e-15)
-    assert ext.variance == pytest.approx(1.0)
+    means, variance = _llr_subtraction(rx, code, 5)
+    np.testing.assert_allclose(means, 0.0, atol=1e-15)
+    assert variance == pytest.approx(1.0)
 
 
 def test_llr_subtraction_spc3(spc3):
     rx = GaussianMessage(np.ones(3), 1.0)  # input LLRs (2, 2, 2)
-    ext = denoiser_step_llr_subtraction(rx, spc3, 1)
+    means, _ = _llr_subtraction(rx, spc3, 1)
     l_ext = 2.0 * np.arctanh(np.tanh(1.0) ** 2)
     assert l_ext == pytest.approx(1.3250027473578643, abs=1e-12)
-    np.testing.assert_allclose(ext.mean, np.tanh(l_ext / 2), rtol=1e-12)
+    np.testing.assert_allclose(means, np.tanh(l_ext / 2), rtol=1e-12)
 
 
 def test_codeword_enumeration_sanity(hamming74):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import component_moments
 from oracles import trapezoid_tanh_moments
-from scvamp.likelihood import (
-    ChannelSpec,
-    gh_rule,
-    likelihood_step,
-    log_normalizer,
-    scalar_moments,
-)
+from scvamp.likelihood import ChannelSpec, gh_rule, likelihood_step, log_normalizer
 from scvamp.messages import GaussianMessage
 
 
@@ -78,13 +73,13 @@ def test_channel_spec_snr():
 def test_channel_spec_accepts_callable():
     spec = ChannelSpec(lambda w: np.clip(w, -1.0, 1.0), 0.5)
     assert not spec.is_identity
-    m1, m2 = scalar_moments(0.0, 0.2, 0.4, spec)
+    m1, m2 = component_moments(0.0, 0.2, 0.4, spec)
     assert np.isfinite(m1) and m2 >= m1 * m1
 
 
 def test_identity_conjugate_example():
     spec = ChannelSpec("id", 1.0)
-    m1, m2 = scalar_moments(0.0, 1.0, 1.0, spec)
+    m1, m2 = component_moments(0.0, 1.0, 1.0, spec)
     assert m1 == pytest.approx(0.5, abs=1e-14)
     assert m2 - m1 * m1 == pytest.approx(0.5, abs=1e-14)
 
@@ -92,7 +87,7 @@ def test_identity_conjugate_example():
 def test_identity_closed_form_independent_of_quadrature_order():
     for q in (2, 3, 50, 100):
         spec = ChannelSpec("id", 0.3, q)
-        m1, m2 = scalar_moments(0.4, 0.7, -0.2, spec)
+        m1, m2 = component_moments(0.4, 0.7, -0.2, spec)
         v_post = 1.0 / (1.0 / 0.7 + 1.0 / 0.3)
         expect = v_post * (0.4 / 0.7 + -0.2 / 0.3)
         assert m1 == pytest.approx(expect, abs=1e-12)
@@ -101,13 +96,13 @@ def test_identity_closed_form_independent_of_quadrature_order():
 
 def test_tanh_delta_prior_limit():
     spec = ChannelSpec("tanh", 0.2)
-    m1, _ = scalar_moments(0.37, 1e-10, 0.9, spec)
+    m1, _ = component_moments(0.37, 1e-10, 0.9, spec)
     assert m1 == pytest.approx(0.37, abs=1e-7)
 
 
 def test_tanh_matches_dense_integration_oracle():
     spec = ChannelSpec("tanh", 0.1, 50)
-    m1, m2 = scalar_moments(0.3, 0.8, 0.5, spec)
+    m1, m2 = component_moments(0.3, 0.8, 0.5, spec)
     m1o, m2o = trapezoid_tanh_moments(0.3, 0.8, 0.5, 0.1)
     assert m1 == pytest.approx(m1o, rel=1e-8)
     assert m2 == pytest.approx(m2o, rel=1e-8)
@@ -115,7 +110,7 @@ def test_tanh_matches_dense_integration_oracle():
 
 def test_cavity_variance_must_be_positive():
     with pytest.raises(ValueError):
-        scalar_moments(0.0, 0.0, 0.0, ChannelSpec("tanh", 0.1))
+        component_moments(0.0, 0.0, 0.0, ChannelSpec("tanh", 0.1))
 
 
 def test_identity_step_returns_observation_exactly():
@@ -195,7 +190,7 @@ def test_tweedie_consistency_finite_difference():
         spec = ChannelSpec("tanh", s2, 50)
         h = 1e-4 * np.sqrt(v)
         grad = (log_normalizer(r + h, v, y, spec) - log_normalizer(r - h, v, y, spec)) / (2 * h)
-        m1, _ = scalar_moments(r, v, y, spec)
+        m1, _ = component_moments(r, v, y, spec)
         assert v * grad == pytest.approx(m1 - r, abs=1e-6)
 
 
@@ -206,31 +201,31 @@ def test_second_order_tweedie_finite_difference():
         h = 1e-4 * np.sqrt(v)
 
         def score(rr):
-            m1, _ = scalar_moments(rr, v, y, spec)
+            m1, _ = component_moments(rr, v, y, spec)
             return (m1 - rr) / v
 
         ds = (score(r + h) - score(r - h)) / (2 * h)
-        m1, m2 = scalar_moments(r, v, y, spec)
+        m1, m2 = component_moments(r, v, y, spec)
         assert m2 - m1 * m1 == pytest.approx(v + v * v * ds, abs=1e-5)
 
 
 def test_monotone_quadrature_convergence():
     for r, v, y, s2 in _CONVERGED_GRID:
-        m50, _ = scalar_moments(r, v, y, ChannelSpec("tanh", s2, 50))
-        m100, _ = scalar_moments(r, v, y, ChannelSpec("tanh", s2, 100))
+        m50, _ = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
+        m100, _ = component_moments(r, v, y, ChannelSpec("tanh", s2, 100))
         assert abs(m50 - m100) <= 1e-9
 
 
 def test_posterior_variance_never_exceeds_prior():
     for r, v, y, s2 in _CONVERGED_GRID:
-        m1, m2 = scalar_moments(r, v, y, ChannelSpec("tanh", s2, 50))
+        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
         assert m2 - m1 * m1 <= v + 1e-9
 
 
 def test_underflow_fallback_returns_prior_moments():
     spec = ChannelSpec("tanh", 1e-3, 50)
     with pytest.warns(RuntimeWarning):
-        m1, m2 = scalar_moments(0.0, 1.0, 1e200, spec)
+        m1, m2 = component_moments(0.0, 1.0, 1e200, spec)
     assert m1 == 0.0
     assert m2 == pytest.approx(1.0)
 

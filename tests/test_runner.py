@@ -10,10 +10,6 @@ from scvamp.messages import DivergenceError
 from scvamp.runner import (
     Variant,
     hard_decision,
-    run_llr_turbo,
-    run_no_onsager,
-    run_scvamp2_mismatched,
-    run_scvamp3,
     run_variant,
 )
 
@@ -43,8 +39,8 @@ def test_identity_channel_reduces_to_two_stage(code128):
     # with f = id the observation stage emits (y, sigma2) exactly, so the
     # 3-stage run and the mismatched 2-stage run are bit-identical
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 3)
-    full = run_scvamp3(truth.y, scenario, 20, 20, truth=truth)
-    two = run_scvamp2_mismatched(truth.y, scenario, 20, 20, truth=truth)
+    full = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
+    two = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
     np.testing.assert_array_equal(full.trace.mse, two.trace.mse)
     np.testing.assert_array_equal(full.trace.v_x, two.trace.v_x)
     np.testing.assert_array_equal(full.trace.v_w, two.trace.v_w)
@@ -53,7 +49,7 @@ def test_identity_channel_reduces_to_two_stage(code128):
 
 def test_noiseless_identity_converges_fast(code128):
     scenario, truth = _trial(code128, "iid:128x128", 120.0, "id", 1)
-    res = run_scvamp3(truth.y, scenario, 8, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 8, 10, truth=truth)
     assert res.trace.mse[:5].min() < 1e-10
     assert res.bit_errors == 0
 
@@ -61,8 +57,8 @@ def test_noiseless_identity_converges_fast(code128):
 def test_no_onsager_single_iteration_matches_full(code128):
     # extrinsic vs posterior forwarding differs only from iteration 2 onward
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 5)
-    a = run_scvamp3(truth.y, scenario, 1, 20, truth=truth)
-    b = run_no_onsager(truth.y, scenario, 1, 20, truth=truth)
+    a = run_variant(Variant.SCVAMP3, truth.y, scenario, 1, 20, truth=truth)
+    b = run_variant(Variant.NO_ONSAGER, truth.y, scenario, 1, 20, truth=truth)
     np.testing.assert_array_equal(a.hard_bits, b.hard_bits)
     assert a.trace.mse[0] == pytest.approx(b.trace.mse[0], abs=1e-12)
 
@@ -70,7 +66,7 @@ def test_no_onsager_single_iteration_matches_full(code128):
 def test_llr_turbo_uncoded_degenerates_consistently():
     code = LdpcCode.from_checks(16, [])
     scenario, truth = _trial(code, "iid:16x16", 6.0, "id", 2)
-    res = run_llr_turbo(truth.y, scenario, 5, 5, truth=truth)
+    res = run_variant(Variant.LLR_TURBO, truth.y, scenario, 5, 5, truth=truth)
     # the decoder adds nothing, so the x-side message stays non-informative
     np.testing.assert_allclose(res.trace.v_x, 1.0, rtol=1e-9)
     assert np.all(np.isfinite(res.trace.mse))
@@ -84,7 +80,7 @@ def test_divergence_aborts_and_scores_full_frame(code128, monkeypatch):
         raise DivergenceError("synthetic blow-up")
 
     monkeypatch.setattr(runner_mod, "coupling_posterior", explode)
-    res = run_scvamp3(truth.y, scenario, 5, 5, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 5, 5, truth=truth)
     assert res.diverged
     assert res.bit_errors == code128.n
     assert len(res.trace) == 0
@@ -94,7 +90,7 @@ def test_tanh_high_snr_decodes_majority(code128):
     errors = []
     for seed in range(9):
         scenario, truth = _trial(code128, "blockdiag:32", 10.0, "tanh", seed)
-        res = run_scvamp3(truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
         errors.append(res.bit_errors)
     assert sum(e == 0 for e in errors) >= 5
 
@@ -103,7 +99,7 @@ def test_mismatched_on_tanh_never_improves(code128):
     # ignoring the nonlinearity leaves the error floor high at every iteration
     for seed in range(3):
         scenario, truth = _trial(code128, "blockdiag:32", 8.0, "tanh", seed)
-        res = run_scvamp2_mismatched(truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
         assert res.trace.mse.min() > 0.1
 
 
@@ -111,7 +107,7 @@ def test_mse_non_increasing_after_iteration_three(code128):
     good = 0
     for seed in range(20):
         scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", seed)
-        res = run_scvamp3(truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
         if np.all(np.diff(res.trace.mse[2:]) <= 1e-12):
             good += 1
     assert good >= 18
@@ -119,22 +115,22 @@ def test_mse_non_increasing_after_iteration_three(code128):
 
 def test_trace_shape_and_alpha_logging(code128):
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 11)
-    res = run_scvamp3(truth.y, scenario, 7, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 7, 10, truth=truth)
     assert len(res.trace) == 7
     assert res.trace.alphas.shape == (7, 3)
     raw = res.trace.alphas[:, 0]
     assert np.all(np.isfinite(raw))
-    two = run_scvamp2_mismatched(truth.y, scenario, 4, 10, truth=truth)
+    two = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 4, 10, truth=truth)
     assert np.all(np.isnan(two.trace.alphas[:, 1]))  # no observation stage rerun
 
 
 def test_converged_iteration_and_early_stop(code128):
     scenario, truth = _trial(code128, "iid:128x128", 120.0, "id", 13)
-    res = run_scvamp3(truth.y, scenario, 15, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 15, 10, truth=truth)
     assert res.converged_iteration is not None
     assert res.converged_iteration <= 5
     assert len(res.trace) == 15  # fixed iteration count by default
-    stopped = run_scvamp3(truth.y, scenario, 15, 10, truth=truth, early_stop=True)
+    stopped = run_variant(Variant.SCVAMP3, truth.y, scenario, 15, 10, truth=truth, early_stop=True)
     assert len(stopped.trace) == stopped.converged_iteration
 
 
