@@ -59,26 +59,19 @@ class Realization:
 
 def gen_h_iid(m, n, rng) -> MixingMatrix:
     """Dense matrix with i.i.d. Gaussian entries of variance 1/m."""
-    entries = rng.normal(0.0, 1.0 / np.sqrt(m), size=(int(m), int(n)))
-    return precompute(entries)
+    return precompute(rng.normal(0.0, 1.0 / np.sqrt(m), size=(int(m), int(n))))
 
 
-def gen_h_blockdiag(block_size, repeats, rng) -> MixingMatrix:
-    """Square matrix with one shared B x B Gaussian block repeated on the diagonal.
+def gen_h_blockdiag(size, repeats, rng) -> MixingMatrix:
+    """Square matrix ``I_R ⊗ A`` with one B x B Gaussian block A (B = size, R = repeats).
 
     The block entries have variance 1/B, so the per-symbol sub-channel does
     not depend on how many times the block is repeated.
     """
-    b = int(block_size)
-    r = int(repeats)
-    if b < 1 or r < 1:
-        raise ValueError("block size and repeat count must be at least 1")
-    block = rng.normal(0.0, 1.0 / np.sqrt(b), size=(b, b))
-    full = np.zeros((b * r, b * r))
-    for i in range(r):
-        sl = slice(i * b, (i + 1) * b)
-        full[sl, sl] = block
-    return precompute(full, block_size=b)
+    b = int(size)
+    if b < 1:
+        raise ValueError(f"block size must be at least 1, got {size}")
+    return precompute(rng.normal(0.0, 1.0 / np.sqrt(b), size=(b, b)), repeats)
 
 
 def bpsk(bits) -> np.ndarray:
@@ -91,7 +84,7 @@ def transmit(x, scenario: TrialScenario):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (scenario.h.n,):
         raise ValueError(f"symbol vector has shape {x.shape}, expected ({scenario.h.n},)")
-    w = scenario.h.entries @ x
+    w = scenario.h.apply(x)
     noise = substream(scenario.seed, "noise").normal(
         0.0, np.sqrt(scenario.spec.noise_variance), size=scenario.h.m
     )

@@ -113,7 +113,7 @@ def main(argv=None) -> int:
                 )
         else:
             summary = mse_trace_experiment(config)
-            for variant, (mean, _) in summary.items():
+            for variant, (mean, *_) in summary.items():
                 print(f"{variant.value:<18s} final mean MSE {mean[-1]:.3e}")
         print(f"wrote {config.output_path}")
         return 0

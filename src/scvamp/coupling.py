@@ -12,9 +12,10 @@ stage needs reduces to sums over the eigenvalues of ``H^T H``:
     v_post_w    = mean over M of lam * sigma2(lam)
 
 so the eigendecomposition is computed once per matrix and every subsequent
-call costs a few matrix-vector products, never a dense inversion.  Matrices
-built from identical diagonal blocks decompose the block once and replicate
-it, which is what keeps long block-diagonal channels cheap.
+call costs a few matrix-vector products, never a dense inversion.  Every
+matrix is one block repeated on the diagonal, ``H = I_R ⊗ A`` (dense is
+``R = 1``), whose gram has the basis ``I_R ⊗ U`` with U that of ``A^T A``:
+only A and U are held, and each product with H is R products with A.
 """
 
 from __future__ import annotations
@@ -28,83 +29,63 @@ from .messages import DEFAULT_EPSILON, GaussianMessage, PosteriorSummary, clip_a
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """A channel matrix with its cached gram eigendecomposition.
+    """The channel matrix ``H = I_R ⊗ A`` with its cached gram eigendecomposition.
 
-    ``eigenvalues`` are the N eigenvalues of ``H^T H`` clamped to be
-    nonnegative.  For a dense matrix ``eigenvectors`` is the full N x N
-    orthonormal basis; for a block-diagonal matrix (``block_size`` set) it is
-    the shared B x B basis of one block and the eigenvalues are the block's
-    values tiled across all blocks.  Immutable after construction and safe to
+    ``block`` is ``A`` (m_b x n_b) and ``repeats`` is R, so H is
+    ``R m_b x R n_b``; a dense matrix has ``repeats == 1``.  ``eigenvalues``
+    are the N eigenvalues of ``H^T H`` clamped to be nonnegative, which are
+    the block's values tiled R times; ``eigenvectors`` is the n_b x n_b
+    orthonormal basis of ``A^T A``.  Immutable after construction and safe to
     share across threads.
     """
 
-    entries: np.ndarray
+    block: np.ndarray
+    repeats: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    block_size: int | None = None
 
     @property
     def m(self):
-        return self.entries.shape[0]
+        return self.repeats * self.block.shape[0]
 
     @property
     def n(self):
-        return self.entries.shape[1]
+        return self.repeats * self.block.shape[1]
 
-    @property
-    def repeats(self):
-        if self.block_size is None:
-            return 1
-        return self.n // self.block_size
+    def apply(self, x):
+        """``H x``, one matrix-vector product per block."""
+        return np.concatenate([self.block @ part for part in np.reshape(x, (self.repeats, -1))])
+
+    def apply_t(self, w):
+        """``H^T w``, one matrix-vector product per block."""
+        return np.concatenate([self.block.T @ part for part in np.reshape(w, (self.repeats, -1))])
 
 
-def precompute(h, block_size=None) -> MixingMatrix:
-    """Cache the eigendecomposition of ``H^T H`` for repeated LMMSE calls.
+def precompute(block, repeats=1) -> MixingMatrix:
+    """Cache the eigendecomposition of ``H^T H`` for ``H = I_R ⊗ block``.
 
-    With ``block_size=B`` the matrix must be square, built from identical
-    B x B diagonal blocks with exact zeros elsewhere; the decomposition is
-    then computed once on the block and replicated.
+    One ``eigh`` of the block's gram serves every repeat; the default
+    ``repeats=1`` makes ``block`` the whole (dense) matrix.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2:
-        raise ValueError(f"H must be a 2-d matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    a = np.asarray(block, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"H must be a 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("H contains non-finite entries")
-    m, n = h.shape
-
-    if block_size is None:
-        lam, u = np.linalg.eigh(h.T @ h)
-        lam = np.maximum(lam, 0.0)
-        return MixingMatrix(h, lam, u)
-
-    b = int(block_size)
-    if m != n or n % b != 0:
-        raise ValueError(f"block-diagonal matrix must be square with size divisible by {b}")
-    repeats = n // b
-    block = h[:b, :b]
-    mask = np.zeros((n, n), dtype=bool)
-    for r in range(repeats):
-        sl = slice(r * b, (r + 1) * b)
-        mask[sl, sl] = True
-        if not np.array_equal(h[sl, sl], block):
-            raise ValueError("block-diagonal matrix must repeat one identical block")
-    if np.any(h[~mask] != 0.0):
-        raise ValueError("entries outside the diagonal blocks must be exactly zero")
-    lam_b, u_b = np.linalg.eigh(block.T @ block)
-    lam_b = np.maximum(lam_b, 0.0)
-    return MixingMatrix(h, np.tile(lam_b, repeats), u_b, block_size=b)
+    r = int(repeats)
+    if r < 1:
+        raise ValueError(f"repeat count must be at least 1, got {repeats}")
+    lam, u = np.linalg.eigh(a.T @ a)
+    lam = np.maximum(lam, 0.0)
+    return MixingMatrix(a, r, np.tile(lam, r), u)
 
 
 def _apply_posterior_basis(mix: MixingMatrix, scale, rhs):
-    """Evaluate ``U diag(scale) U^T rhs`` using the cached basis."""
-    if mix.block_size is None:
-        return mix.eigenvectors @ (scale * (mix.eigenvectors.T @ rhs))
-    b = mix.block_size
+    """Evaluate ``(I_R ⊗ U) diag(scale) (I_R ⊗ U)^T rhs`` with the cached basis."""
     u = mix.eigenvectors
-    rhs_blocks = rhs.reshape(mix.repeats, b)
-    scale_blocks = scale.reshape(mix.repeats, b)
-    proj = rhs_blocks @ u  # row r holds U^T rhs_r
-    return ((scale_blocks * proj) @ u.T).reshape(-1)
+    shape = (mix.repeats, u.shape[0])
+    proj = rhs.reshape(shape) @ u  # row r holds U^T rhs_r
+    return ((scale.reshape(shape) * proj) @ u.T).reshape(-1)
 
 
 def coupling_posterior(
@@ -129,9 +110,9 @@ def coupling_posterior(
 
     ratios = vw / (vw + vx * lam)
     sigma2 = vx * ratios  # posterior eigen-variances
-    rhs = rx.mean / vx + mix.entries.T @ rw.mean / vw
+    rhs = rx.mean / vx + mix.apply_t(rw.mean) / vw
     x_mean = _apply_posterior_basis(mix, sigma2, rhs)
-    w_mean = mix.entries @ x_mean
+    w_mean = mix.apply(x_mean)
 
     alpha_x_raw = float(np.mean(ratios))
     v_post_x = vx * alpha_x_raw
@@ -141,4 +122,3 @@ def coupling_posterior(
     x_post = PosteriorSummary(x_mean, v_post_x, clip_alpha(alpha_x_raw, epsilon))
     w_post = PosteriorSummary(w_mean, v_post_w, clip_alpha(alpha_w_raw, epsilon))
     return x_post, w_post
-

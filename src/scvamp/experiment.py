@@ -13,7 +13,7 @@ CSV schemas (one header line, optional '#' metadata comments above it):
 
     ber mode:       snr_db,variant,code,n,k,h_mode,nonlinearity,frames,bits,
                     bit_errors,frame_errors,diverged,ber,fer,seed_base
-    mse-trace mode: iteration,variant,mean_mse,median_mse,trials
+    mse-trace mode: iteration,variant,mean_mse,median_mse,trials,diverged
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -73,6 +74,9 @@ class SweepConfig:
         )
         if len(set(self.variants)) != len(self.variants):
             raise ValueError("variants must not repeat")
+        # fail now, not after the first H build, on a bad SNR, nonlinearity or quadrature order
+        for snr_db in self.snr_db_list:
+            ChannelSpec.from_snr_db(snr_db, self.nonlinearity, self.quadrature_order)
 
 
 @dataclass
@@ -95,20 +99,22 @@ class BerPoint:
 
 
 def parse_h_mode(text):
-    """Parse 'iid:MxN' or 'blockdiag:B' into a structured tuple."""
+    """Parse 'iid:MxN' or 'blockdiag:B' into a structured tuple; sizes must be >= 1."""
     kind, _, rest = text.partition(":")
     if kind == "iid":
         m_txt, _, n_txt = rest.partition("x")
-        try:
-            return ("iid", int(m_txt), int(n_txt))
-        except ValueError:
-            raise ValueError(f"malformed iid mode {text!r}, expected iid:MxN")
-    if kind == "blockdiag":
-        try:
-            return ("blockdiag", int(rest))
-        except ValueError:
-            raise ValueError(f"malformed blockdiag mode {text!r}, expected blockdiag:B")
-    raise ValueError(f"unknown H mode {text!r}; use iid:MxN or blockdiag:B")
+        fields, form = (m_txt, n_txt), "iid:MxN"
+    elif kind == "blockdiag":
+        fields, form = (rest,), "blockdiag:B"
+    else:
+        raise ValueError(f"unknown H mode {text!r}; use iid:MxN or blockdiag:B")
+    try:
+        sizes = tuple(int(f) for f in fields)
+    except ValueError:
+        raise ValueError(f"malformed {kind} mode {text!r}, expected {form}")
+    if min(sizes) < 1:
+        raise ValueError(f"H mode {text!r} needs sizes of at least 1")
+    return (kind, *sizes)
 
 
 def load_code(spec_text):
@@ -249,9 +255,11 @@ def mse_trace_experiment(config: SweepConfig):
     """Per-iteration mean/median MSE across a fixed trial count at one SNR.
 
     Iteration 0 is the initialization (zero estimate), whose MSE is exactly 1
-    for BPSK.  Every trial runs all ``outer_iters`` iterations, so early
-    stopping is rejected.  Returns {variant: (mean_per_iter, median_per_iter)}
-    and writes the CSV if an output path is configured.
+    for BPSK.  Every trial runs all ``outer_iters`` iterations unless it
+    diverges, so early stopping is rejected; a diverged trial is left out of
+    the iterations it did not reach.  Returns {variant: (mean_per_iter,
+    median_per_iter, diverged_per_iter)} and writes the CSV if an output path
+    is configured.
     """
     if len(config.snr_db_list) != 1:
         raise ValueError("mse trace runs at exactly one SNR")
@@ -259,24 +267,25 @@ def mse_trace_experiment(config: SweepConfig):
         raise ValueError("early stopping applies to BER sweeps only, not to mse trace")
     code, _ = load_code(config.code)
     iters = config.outer_iters
-    per_variant = {v: np.ones((config.mse_trials, iters + 1)) for v in config.variants}
+    per_variant = {v: np.full((config.mse_trials, iters + 1), np.nan) for v in config.variants}
 
     def consume(seed, outcomes):
         for variant in config.variants:
             mse = outcomes[variant.value][2]
-            # index 0 already holds the exact init MSE of 1; a trace cut short
-            # by divergence keeps its last recorded value for the remaining rows
+            # the init MSE is exactly 1; iterations a diverged trace did not reach stay nan
+            per_variant[variant][seed, 0] = 1.0
             per_variant[variant][seed, 1:1 + mse.shape[0]] = mse
-            if mse.shape[0] and mse.shape[0] < iters:
-                per_variant[variant][seed, 1 + mse.shape[0]:] = mse[-1]
         return config.variants
 
     with _worker_pool(code, config) as pool:
         _iterate_blocks(pool, code, config, config.snr_db_list[0], config.mse_trials, consume)
 
-    summary = {
-        v: (np.mean(arr, axis=0), np.median(arr, axis=0)) for v, arr in per_variant.items()
-    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a column no trial reached is nan
+        summary = {
+            v: (np.nanmean(arr, axis=0), np.nanmedian(arr, axis=0), np.isnan(arr).sum(axis=0))
+            for v, arr in per_variant.items()
+        }
     if config.output_path:
         _write_mse_csv(config, summary)
     return summary
@@ -318,11 +327,12 @@ def _write_ber_csv(config, code, code_label, points):
 
 def _write_mse_csv(config, summary):
     lines = _metadata_lines(config)
-    lines.append("iteration,variant,mean_mse,median_mse,trials")
-    for variant, (mean, median) in summary.items():
+    lines.append("iteration,variant,mean_mse,median_mse,trials,diverged")
+    for variant, (mean, median, diverged) in summary.items():
         for it in range(mean.shape[0]):
             lines.append(
-                f"{it},{variant.value},{mean[it]:.10e},{median[it]:.10e},{config.mse_trials}"
+                f"{it},{variant.value},{mean[it]:.10e},{median[it]:.10e},{config.mse_trials},"
+                f"{diverged[it]}"
             )
     _atomic_write(config.output_path, "\n".join(lines) + "\n")
 

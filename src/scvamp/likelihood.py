@@ -37,6 +37,14 @@ NONLINEARITIES: dict[str, Callable] = {
 }
 
 
+def _checked_order(order) -> int:
+    """The Gauss-Hermite order as an int, if it lies in the range gh_rule builds."""
+    q = int(order)
+    if not 2 <= q <= 200:
+        raise ValueError(f"quadrature order must lie in [2, 200], got {order}")
+    return q
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Observation model: component-wise nonlinearity, noise variance, quadrature order.
@@ -57,8 +65,7 @@ class ChannelSpec:
             )
         if not (np.isfinite(self.noise_variance) and self.noise_variance > 0.0):
             raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
-        if int(self.quadrature_order) < 2:
-            raise ValueError(f"quadrature order must be at least 2, got {self.quadrature_order}")
+        _checked_order(self.quadrature_order)
 
     @property
     def is_identity(self):
@@ -90,10 +97,7 @@ class QuadratureRule:
 @lru_cache(maxsize=None)
 def gh_rule(order: int) -> QuadratureRule:
     """Gauss-Hermite rule of the given order (exact for polynomials up to 2Q-1)."""
-    q = int(order)
-    if not 2 <= q <= 200:
-        raise ValueError(f"quadrature order must lie in [2, 200], got {q}")
-    nodes, weights = np.polynomial.hermite.hermgauss(q)
+    nodes, weights = np.polynomial.hermite.hermgauss(_checked_order(order))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes, weights)

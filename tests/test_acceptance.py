@@ -184,11 +184,8 @@ def test_criterion_07_blockdiag_fast_path():
     rng = np.random.default_rng(107)
     b, reps = 4, 3
     block = rng.normal(size=(b, b))
-    full = np.zeros((b * reps, b * reps))
-    for i in range(reps):
-        full[i * b:(i + 1) * b, i * b:(i + 1) * b] = block
-    fast = precompute(full, block_size=b)
-    dense = precompute(full)
+    fast = precompute(block, reps)
+    dense = precompute(np.kron(np.eye(reps), block))
     worst = 0.0
     for _ in range(20):
         rx = GaussianMessage(rng.normal(size=b * reps), float(np.exp(rng.uniform(-1, 1))))

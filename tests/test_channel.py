@@ -37,7 +37,7 @@ def test_substreams_independent_of_draw_order():
 
 def test_gen_h_iid_statistics():
     mix = gen_h_iid(256, 256, substream(0, "H"))
-    entries = mix.entries
+    entries = mix.block
     assert abs(entries.mean()) < 4.0 / np.sqrt(256 * 256 * 256)
     assert entries.var() == pytest.approx(1.0 / 256, rel=0.05)
     assert mix.eigenvalues.shape == (256,)
@@ -46,36 +46,36 @@ def test_gen_h_iid_statistics():
 def test_gen_h_iid_seed_determinism():
     a = gen_h_iid(8, 8, substream(5, "H"))
     b = gen_h_iid(8, 8, substream(5, "H"))
-    np.testing.assert_array_equal(a.entries, b.entries)
+    np.testing.assert_array_equal(a.block, b.block)
 
 
 def test_blockdiag_single_repeat_equals_iid():
     a = gen_h_blockdiag(6, 1, substream(9, "H"))
     b = gen_h_iid(6, 6, substream(9, "H"))
-    np.testing.assert_array_equal(a.entries, b.entries)
+    assert a.repeats == b.repeats == 1
+    np.testing.assert_array_equal(a.block, b.block)
 
 
 def test_blockdiag_structure():
     mix = gen_h_blockdiag(32, 4, substream(1, "H"))
-    assert mix.entries.shape == (128, 128)
-    assert mix.block_size == 32 and mix.repeats == 4
-    block = mix.entries[:32, :32]
-    assert block.var() == pytest.approx(1.0 / 32, rel=0.2)
-    for i in range(4):
-        for j in range(4):
-            sub = mix.entries[i * 32:(i + 1) * 32, j * 32:(j + 1) * 32]
-            if i == j:
-                np.testing.assert_array_equal(sub, block)
-            else:
-                assert np.all(sub == 0.0)
+    assert mix.block.shape == (32, 32)
+    assert mix.repeats == 4 and (mix.m, mix.n) == (128, 128)
+    assert mix.block.var() == pytest.approx(1.0 / 32, rel=0.2)
+    dense = np.kron(np.eye(4), mix.block)
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        v = rng.normal(size=128)
+        np.testing.assert_array_equal(mix.apply(v), dense @ v)
+        np.testing.assert_array_equal(mix.apply_t(v), dense.T @ v)
 
 
 def test_blockdiag_eigenvalues_match_dense_oracle():
     mix = gen_h_blockdiag(4, 3, substream(2, "H"))
-    dense = np.linalg.eigvalsh(mix.entries.T @ mix.entries)
+    full = np.kron(np.eye(3), mix.block)
+    dense = np.linalg.eigvalsh(full.T @ full)
     np.testing.assert_allclose(np.sort(mix.eigenvalues), np.sort(np.maximum(dense, 0)),
                                atol=1e-10)
-    block_eigs = np.linalg.eigvalsh(mix.entries[:4, :4].T @ mix.entries[:4, :4])
+    block_eigs = np.linalg.eigvalsh(mix.block.T @ mix.block)
     np.testing.assert_allclose(np.sort(mix.eigenvalues),
                                np.sort(np.tile(np.maximum(block_eigs, 0), 3)), atol=1e-10)
 
@@ -93,8 +93,8 @@ def test_transmit_noiseless_identity():
     scenario = TrialScenario(code, mix, ChannelSpec("id", 1e-300), seed=4)
     x = bpsk(np.array([0, 1, 1, 0, 1, 0]))
     y, w = transmit(x, scenario)
-    np.testing.assert_allclose(y, mix.entries @ x, atol=1e-100)
-    np.testing.assert_array_equal(w, mix.entries @ x)
+    np.testing.assert_allclose(y, mix.block @ x, atol=1e-100)
+    np.testing.assert_array_equal(w, mix.block @ x)
 
 
 def test_transmit_tanh_bounded():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from scvamp.cli import main, parse_cli
@@ -10,7 +11,7 @@ from scvamp.experiment import (
     parse_h_mode,
     wilson_interval,
 )
-from scvamp.runner import Variant
+from scvamp.runner import DecodeResult, IterationTrace, Variant
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +72,11 @@ def test_bad_variant_is_usage_error(small_code_path, tmp_path):
 
 
 def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        parse_cli(["--snr-db", "6", "--code", small_code_path, "--h", "toeplitz:4",
-                   "--out", str(tmp_path / "o.csv")])
-    assert err.value.code == 2
+    for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32"):
+        with pytest.raises(SystemExit) as err:
+            parse_cli(["--snr-db", "6", "--code", small_code_path, "--h", h_mode,
+                       "--out", str(tmp_path / "o.csv")])
+        assert err.value.code == 2, h_mode
 
 
 def test_parse_h_mode():
@@ -100,6 +102,17 @@ def test_sweep_config_validation(small_code_path):
         with pytest.raises(ValueError, match=field):
             SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                         **{field: 0})
+    for snr_db in (float("nan"), 4000.0):  # noise variance nan, or underflowing to 0
+        with pytest.raises(ValueError, match="noise variance"):
+            SweepConfig(snr_db_list=(6.0, snr_db), code=small_code_path, h_mode="iid:48x48")
+    with pytest.raises(ValueError, match="nonlinearity"):
+        SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                    nonlinearity="cubic")
+    for nonlinearity in ("id", "tanh"):
+        for order in (1, 201, 300):
+            with pytest.raises(ValueError, match="quadrature order"):
+                SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                            nonlinearity=nonlinearity, quadrature_order=order)
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--outer-iters", "--bp-iters"])
@@ -189,13 +202,50 @@ def test_mse_trace_experiment(small_code_path, tmp_path):
         experiment="mse-trace",
     )
     summary = mse_trace_experiment(cfg)
-    mean, median = summary[Variant.SCVAMP3]
+    mean, median, diverged = summary[Variant.SCVAMP3]
     assert mean.shape == (6,)
     assert mean[0] == 1.0  # initialization row is exact for BPSK
+    assert not diverged.any()
     lines = out.read_text().splitlines()
-    assert lines[0] == "iteration,variant,mean_mse,median_mse,trials"
+    assert lines[0] == "iteration,variant,mean_mse,median_mse,trials,diverged"
     assert len(lines) == 1 + 6
     assert lines[1].startswith("0,scvamp3,1.0000000000e+00")
+    assert all(line.endswith(",4,0") for line in lines[1:])
+
+
+def test_mse_trace_leaves_out_diverged_iterations(small_code_path, tmp_path, monkeypatch):
+    # seed 0 diverges after one iteration, seed 1 runs all four, seed 2 diverges at once;
+    # under llr-turbo every seed diverges at once
+    traces = {0: [0.5], 1: [0.4, 0.3, 0.2, 0.1], 2: []}
+
+    def fake_run_variant(variant, y, scenario, outer_iters, bp_iters, **kwargs):
+        mse = [] if variant is Variant.LLR_TURBO else traces[scenario.seed]
+        diverged = len(mse) < outer_iters
+        steps = len(mse)
+        trace = IterationTrace(np.asarray(mse, dtype=float), np.ones(steps), np.ones(steps),
+                               np.ones((steps, 3)))
+        bits = np.zeros(scenario.code.n, dtype=np.uint8)
+        return DecodeResult(bits, scenario.code.n if diverged else 0, None, trace, diverged)
+
+    monkeypatch.setattr("scvamp.experiment.run_variant", fake_run_variant)
+    out = tmp_path / "mse.csv"
+    cfg = SweepConfig(
+        snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+        variants=(Variant.SCVAMP3, Variant.LLR_TURBO), outer_iters=4, mse_trials=3,
+        output_path=str(out), deterministic=True, experiment="mse-trace",
+    )
+    summary = mse_trace_experiment(cfg)
+    mean, median, diverged = summary[Variant.SCVAMP3]
+    np.testing.assert_allclose(mean, [1.0, 0.45, 0.3, 0.2, 0.1])
+    np.testing.assert_allclose(median, [1.0, 0.45, 0.3, 0.2, 0.1])
+    np.testing.assert_array_equal(diverged, [0, 1, 2, 2, 2])
+    mean, median, diverged = summary[Variant.LLR_TURBO]
+    assert mean[0] == median[0] == 1.0
+    assert np.isnan(mean[1:]).all() and np.isnan(median[1:]).all()
+    np.testing.assert_array_equal(diverged, [0, 3, 3, 3, 3])
+    rows = out.read_text().splitlines()
+    assert rows[2] == "1,scvamp3,4.5000000000e-01,4.5000000000e-01,3,1"
+    assert rows[7] == "1,llr-turbo,nan,nan,3,3"
 
 
 def test_mse_trace_requires_single_snr(small_code_path):
@@ -217,8 +267,8 @@ def test_mse_trace_levels_at_six_db():
         variants=(Variant.SCVAMP3, Variant.NO_ONSAGER), mse_trials=10,
     )
     summary = mse_trace_experiment(cfg)
-    _, median_full = summary[Variant.SCVAMP3]
-    mean_no, _ = summary[Variant.NO_ONSAGER]
+    _, median_full, _ = summary[Variant.SCVAMP3]
+    mean_no, _, _ = summary[Variant.NO_ONSAGER]
     assert median_full[-1] < 1e-10
     assert mean_no[-1] > 1e-2
 

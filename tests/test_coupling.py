@@ -53,6 +53,24 @@ def test_precompute_rejects_non_finite():
         precompute(np.array([[1.0, np.nan]]))
 
 
+def test_precompute_rejects_zero_repeats():
+    with pytest.raises(ValueError, match="repeat"):
+        precompute(np.eye(2), repeats=0)
+
+
+def test_apply_is_adjoint_for_rectangular_blocks():
+    rng = np.random.default_rng(17)
+    block = rng.normal(size=(3, 5))
+    mix = precompute(block, 4)
+    assert (mix.m, mix.n) == (12, 20)
+    dense = np.kron(np.eye(4), block)
+    x = rng.normal(size=20)
+    w = rng.normal(size=12)
+    np.testing.assert_allclose(mix.apply(x), dense @ x, atol=1e-12)
+    np.testing.assert_allclose(mix.apply_t(w), dense.T @ w, atol=1e-12)
+    assert np.dot(mix.apply(x), w) == pytest.approx(np.dot(x, mix.apply_t(w)), abs=1e-12)
+
+
 def test_posterior_equal_precision_average():
     mix = precompute(np.eye(4))
     x, w = coupling_posterior(_msg(np.zeros(4), 1.0), _msg(2 * np.ones(4), 1.0), mix)
@@ -185,33 +203,28 @@ def test_tweedie_form_finite_difference():
 
 def test_blockdiag_fast_path_matches_dense():
     rng = np.random.default_rng(15)
-    b, reps = 4, 3
-    block = rng.normal(size=(b, b))
-    full = np.zeros((b * reps, b * reps))
-    for i in range(reps):
-        full[i * b:(i + 1) * b, i * b:(i + 1) * b] = block
-    fast = precompute(full, block_size=b)
-    dense = precompute(full)
-    rx = _msg(rng.normal(size=b * reps), 0.7)
-    rw = _msg(rng.normal(size=b * reps), 1.4)
-    xf, wf = coupling_posterior(rx, rw, fast)
-    xd, wd = coupling_posterior(rx, rw, dense)
-    np.testing.assert_allclose(xf.mean, xd.mean, atol=1e-12)
-    np.testing.assert_allclose(wf.mean, wd.mean, atol=1e-12)
-    assert xf.variance == pytest.approx(xd.variance, abs=1e-12)
-    assert wf.variance == pytest.approx(wd.variance, abs=1e-12)
-    assert xf.alpha == pytest.approx(xd.alpha, abs=1e-12)
-    assert wf.alpha == pytest.approx(wd.alpha, abs=1e-12)
+    reps = 3
+    for shape in ((4, 4), (3, 5), (5, 3)):
+        block = rng.normal(size=shape)
+        fast = precompute(block, reps)
+        dense = precompute(np.kron(np.eye(reps), block))
+        rx = _msg(rng.normal(size=shape[1] * reps), 0.7)
+        rw = _msg(rng.normal(size=shape[0] * reps), 1.4)
+        xf, wf = coupling_posterior(rx, rw, fast)
+        xd, wd = coupling_posterior(rx, rw, dense)
+        np.testing.assert_allclose(xf.mean, xd.mean, atol=1e-12)
+        np.testing.assert_allclose(wf.mean, wd.mean, atol=1e-12)
+        assert xf.variance == pytest.approx(xd.variance, abs=1e-12)
+        assert wf.variance == pytest.approx(wd.variance, abs=1e-12)
+        assert xf.alpha == pytest.approx(xd.alpha, abs=1e-12)
+        assert wf.alpha == pytest.approx(wd.alpha, abs=1e-12)
 
 
 def test_blockdiag_equals_per_block_concatenation():
     rng = np.random.default_rng(16)
     b = 3
     block = rng.normal(size=(b, b))
-    full = np.zeros((2 * b, 2 * b))
-    full[:b, :b] = block
-    full[b:, b:] = block
-    mix_full = precompute(full, block_size=b)
+    mix_full = precompute(block, 2)
     mix_block = precompute(block)
     rx = rng.normal(size=2 * b)
     rw = rng.normal(size=2 * b)
@@ -227,21 +240,6 @@ def test_blockdiag_equals_per_block_concatenation():
     np.testing.assert_allclose(x_full.mean, np.concatenate(parts_x), atol=1e-12)
     np.testing.assert_allclose(w_full.mean, np.concatenate(parts_w), atol=1e-12)
     assert x_full.alpha == pytest.approx(np.mean(alphas), abs=1e-12)
-
-
-def test_blockdiag_validation():
-    block = np.ones((2, 2))
-    bad = np.zeros((4, 4))
-    bad[:2, :2] = block
-    bad[2:, 2:] = 2 * block  # blocks differ
-    with pytest.raises(ValueError):
-        precompute(bad, block_size=2)
-    bad2 = np.zeros((4, 4))
-    bad2[:2, :2] = block
-    bad2[2:, 2:] = block
-    bad2[0, 3] = 1e-9  # off-block leakage
-    with pytest.raises(ValueError):
-        precompute(bad2, block_size=2)
 
 
 def test_dimension_mismatch_errors():

@@ -145,5 +145,5 @@ def test_shared_realization_across_variants(code128):
     scenario1, truth1 = _trial(code128, "iid:128x128", 5.0, "id", 21)
     scenario2, truth2 = _trial(code128, "iid:128x128", 5.0, "id", 21)
     np.testing.assert_array_equal(truth1.y, truth2.y)
-    np.testing.assert_array_equal(scenario1.h.entries, scenario2.h.entries)
+    np.testing.assert_array_equal(scenario1.h.block, scenario2.h.block)
     np.testing.assert_array_equal(truth1.codeword, truth2.codeword)
