@@ -1,13 +1,17 @@
 """Monte Carlo BER sweeps and MSE-convergence traces with CSV output.
 
-Trials are indexed by (snr, seed).  Every variant run at a given (snr, seed)
-consumes the identical channel realization.  In a BER sweep each variant keeps
-drawing seeds in order until it has collected ``min_errors`` errors or the
-seed cap binds; an MSE trace runs a fixed number of seeds.  Both experiments
-dispatch work to an optional process pool in fixed-size seed blocks, but
+Trials are indexed by (snr, seed).  H and the information bits depend on the
+seed alone and only the noise on the SNR, so every variant at every SNR point
+of one seed consumes the same H: it is drawn and decomposed once per seed and
+reused for every SNR point.  Seeds count ``master_seed, master_seed+1, ...``
+per SNR point.  In a BER sweep each (snr, variant) pair keeps drawing seeds in
+order until it has collected ``min_errors`` errors or the seed cap binds; an
+MSE trace runs a fixed number of seeds at one SNR.  Both experiments dispatch
+work seed-major to an optional process pool in fixed-size seed blocks, each
+seed running every pair still active when its block was dispatched, but
 results are always consumed strictly in seed order, so the output is
-byte-identical at any worker count (results computed past a variant's
-stopping seed are discarded).
+byte-identical at any worker count (results computed past a pair's stopping
+seed are discarded).
 
 CSV schemas (one header line, optional '#' metadata comments above it):
 
@@ -23,7 +27,9 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,6 +75,8 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        if len(set(self.snr_db_list)) != len(self.snr_db_list):
+            raise ValueError("SNR points must not repeat")
         object.__setattr__(
             self, "variants", tuple(Variant(v) for v in self.variants)
         )
@@ -77,6 +85,11 @@ class SweepConfig:
         # fail now, not after the first H build, on a bad SNR, nonlinearity or quadrature order
         for snr_db in self.snr_db_list:
             ChannelSpec.from_snr_db(snr_db, self.nonlinearity, self.quadrature_order)
+
+    @property
+    def pairs(self):
+        """The ``(snr, variant)`` pairs, SNR-major: the order of the BER CSV rows."""
+        return tuple((snr_db, v) for snr_db in self.snr_db_list for v in self.variants)
 
 
 @dataclass
@@ -170,40 +183,48 @@ def _worker_pool(code, config):
         pool.join()
 
 
-def _seed_outcomes(code, config, snr_db, seed, variant_values):
-    """(bit_errors, diverged, mse trace) per requested variant for one seed."""
+def _seed_outcomes(code, config, seed, work):
+    """(bit_errors, diverged, mse trace) per ``(snr, variant)`` pair of ``work`` for one seed.
+
+    ``work`` lists the pairs grouped by SNR.  H is drawn and decomposed once,
+    at the first SNR; every SNR point swaps only the channel spec.
+    """
     scenario = build_scenario(
-        code, config.h_mode, snr_db, config.nonlinearity, config.quadrature_order, seed
+        code, config.h_mode, work[0][0], config.nonlinearity, config.quadrature_order, seed
     )
-    truth = realize(scenario)
     out = {}
-    for value in variant_values:
-        res = run_variant(
-            Variant(value), truth.y, scenario, config.outer_iters, config.bp_iters,
-            early_stop=config.early_stop, truth=truth,
-        )
-        out[value] = (res.bit_errors, int(res.diverged), res.trace.mse)
+    for snr_db, at_snr in groupby(work, key=itemgetter(0)):
+        spec = ChannelSpec.from_snr_db(snr_db, config.nonlinearity, config.quadrature_order)
+        scenario = replace(scenario, spec=spec)
+        truth = realize(scenario)
+        for _, variant in at_snr:
+            res = run_variant(
+                variant, truth.y, scenario, config.outer_iters, config.bp_iters,
+                early_stop=config.early_stop, truth=truth,
+            )
+            out[snr_db, variant] = (res.bit_errors, int(res.diverged), res.trace.mse)
     return out
 
 
 def _pool_task(args):
-    snr_db, seed, variant_values = args
-    return _seed_outcomes(_POOL_STATE["code"], _POOL_STATE["config"], snr_db, seed,
-                          variant_values)
+    seed, work = args
+    return _seed_outcomes(_POOL_STATE["code"], _POOL_STATE["config"], seed, work)
 
 
-def _iterate_blocks(pool, code, config, snr_db, seed_count, consume):
+def _iterate_blocks(pool, code, config, seed_count, consume):
     """Dispatch seeds in fixed blocks; ``consume(seed, outcomes) -> still_active``.
 
-    ``consume`` is called strictly in seed order and returns the variants that
+    The active set holds the ``(snr, variant)`` pairs still drawing seeds, and
+    every seed of a block runs the pairs active when the block is dispatched.
+    ``consume`` is called strictly in seed order and returns the pairs that
     remain active; dispatching stops once none are or ``seed_count`` seeds ran.
     """
-    active = list(config.variants)
+    active = config.pairs
     next_seed = 0
     while active and next_seed < seed_count:
         block = range(next_seed, min(next_seed + _BLOCK_SIZE, seed_count))
-        values = tuple(v.value for v in active)
-        tasks = [(snr_db, config.master_seed + s, values) for s in block]
+        work = tuple(active)
+        tasks = [(config.master_seed + s, work) for s in block]
         if pool is None:
             results = [_seed_outcomes(code, config, *task) for task in tasks]
         else:
@@ -218,33 +239,29 @@ def _iterate_blocks(pool, code, config, snr_db, seed_count, consume):
 def ber_sweep(config: SweepConfig):
     """Adaptive-seeding BER sweep; returns BerPoints and writes the CSV if asked."""
     code, code_label = load_code(config.code)
+    tallies = {pair: BerPoint(*pair) for pair in config.pairs}
 
     def metric(tally):
         return tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
 
-    points = []
+    def consume(seed, outcomes):
+        still = []
+        for pair, tally in tallies.items():
+            if pair not in outcomes or metric(tally) >= config.min_errors:
+                continue  # inactive, or stopped earlier in this block
+            bits_err, diverged, _ = outcomes[pair]
+            tally.frames += 1
+            tally.bits_simulated += code.n
+            tally.bit_errors += bits_err
+            tally.frame_errors += int(bits_err > 0)
+            tally.diverged_frames += diverged
+            if metric(tally) < config.min_errors:
+                still.append(pair)
+        return still
+
     with _worker_pool(code, config) as pool:
-        for snr_db in config.snr_db_list:
-            tallies = {v: BerPoint(snr_db, v) for v in config.variants}
-
-            def consume(seed, outcomes, tallies=tallies):
-                still = []
-                for variant in config.variants:
-                    tally = tallies[variant]
-                    if variant.value not in outcomes or metric(tally) >= config.min_errors:
-                        continue  # inactive, or stopped earlier in this block
-                    bits_err, diverged, _ = outcomes[variant.value]
-                    tally.frames += 1
-                    tally.bits_simulated += code.n
-                    tally.bit_errors += bits_err
-                    tally.frame_errors += int(bits_err > 0)
-                    tally.diverged_frames += diverged
-                    if metric(tally) < config.min_errors:
-                        still.append(variant)
-                return still
-
-            _iterate_blocks(pool, code, config, snr_db, config.max_seeds, consume)
-            points.extend(tallies[v] for v in config.variants)
+        _iterate_blocks(pool, code, config, config.max_seeds, consume)
+    points = list(tallies.values())
 
     if config.output_path:
         _write_ber_csv(config, code, code_label, points)
@@ -270,15 +287,14 @@ def mse_trace_experiment(config: SweepConfig):
     per_variant = {v: np.full((config.mse_trials, iters + 1), np.nan) for v in config.variants}
 
     def consume(seed, outcomes):
-        for variant in config.variants:
-            mse = outcomes[variant.value][2]
+        for (_, variant), (_, _, mse) in outcomes.items():
             # the init MSE is exactly 1; iterations a diverged trace did not reach stay nan
             per_variant[variant][seed, 0] = 1.0
             per_variant[variant][seed, 1:1 + mse.shape[0]] = mse
-        return config.variants
+        return list(outcomes)
 
     with _worker_pool(code, config) as pool:
-        _iterate_blocks(pool, code, config, config.snr_db_list[0], config.mse_trials, consume)
+        _iterate_blocks(pool, code, config, config.mse_trials, consume)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a column no trial reached is nan

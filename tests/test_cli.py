@@ -71,6 +71,15 @@ def test_bad_variant_is_usage_error(small_code_path, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--snr-db", "6,6"], ["--snr-db", "6,6.0"],
+                                   ["--variant", "scvamp3,llr-turbo,scvamp3"]])
+def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
     for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32"):
         with pytest.raises(SystemExit) as err:
@@ -98,6 +107,9 @@ def test_sweep_config_validation(small_code_path):
     with pytest.raises(ValueError, match="repeat"):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     variants=("scvamp3", "llr-turbo", "scvamp3"))
+    for snr_db_list in ((6.0, 6.0), (4, 6, 6.0)):
+        with pytest.raises(ValueError, match="SNR points must not repeat"):
+            SweepConfig(snr_db_list=snr_db_list, code=small_code_path, h_mode="iid:48x48")
     for field in ("outer_iters", "bp_iters", "mse_trials"):
         with pytest.raises(ValueError, match=field):
             SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",

@@ -1,0 +1,85 @@
+"""A multi-SNR BER sweep pinned byte for byte, and one H build per seed.
+
+``golden_sweep.csv`` is the ``--deterministic`` BER CSV of a three-SNR,
+two-variant sweep whose points stop after different frame counts, one of them
+only at the seed cap beyond the first 16-seed dispatch block.  It must be
+reproduced at any worker count, and each of its rows must equal the row of a
+sweep of that SNR point alone.
+
+Regenerate the file (only for an intended change of results) with
+
+    PYTHONPATH=src python tests/test_sweep.py
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import scvamp.channel
+import scvamp.experiment
+from scvamp.experiment import SweepConfig, ber_sweep, mse_trace_experiment
+
+GOLDEN_PATH = Path(__file__).with_name("golden_sweep.csv")
+PINNED = SweepConfig(
+    snr_db_list=(4.0, 6.0, 8.0), code="builtin:r12-n128", h_mode="iid:96x128",
+    nonlinearity="id", variants=("scvamp3", "llr-turbo"), min_errors=40, max_seeds=24,
+    deterministic=True,
+)
+
+
+def _sweep_csv(config, path):
+    ber_sweep(dataclasses.replace(config, output_path=str(path)))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pinned_sweep_csv(tmp_path, workers):
+    csv = _sweep_csv(dataclasses.replace(PINNED, workers=workers), tmp_path / "sweep.csv")
+    assert csv == GOLDEN_PATH.read_bytes()
+
+
+def test_pinned_rows_equal_single_snr_sweeps(tmp_path):
+    header, *rows = GOLDEN_PATH.read_text().splitlines()
+    for i, snr_db in enumerate(PINNED.snr_db_list):
+        single = dataclasses.replace(PINNED, snr_db_list=(snr_db,))
+        lines = _sweep_csv(single, tmp_path / f"{i}.csv").decode().splitlines()
+        assert lines == [header, *rows[2 * i:2 * i + 2]], snr_db
+
+
+def _count_builds(monkeypatch):
+    calls = {"build_scenario": 0, "precompute": 0}
+    for module, name in ((scvamp.experiment, "build_scenario"), (scvamp.channel, "precompute")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_h_build_per_seed(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    points = ber_sweep(SweepConfig(
+        snr_db_list=(2.0, 4.0, 6.0), code="builtin:r12-n128", h_mode="iid:96x128",
+        variants=("scvamp3", "llr-turbo"), outer_iters=3, bp_iters=3,
+        min_errors=10**6, max_seeds=3,
+    ))
+    assert [p.frames for p in points] == [3] * 6
+    assert calls == {"build_scenario": 3, "precompute": 3}
+
+
+def test_mse_trace_builds_once_per_trial(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    mse_trace_experiment(SweepConfig(
+        snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="iid:96x128",
+        variants=("scvamp3", "no-onsager"), outer_iters=3, bp_iters=3, mse_trials=4,
+        experiment="mse-trace",
+    ))
+    assert calls == {"build_scenario": 4, "precompute": 4}
+
+
+if __name__ == "__main__":
+    ber_sweep(dataclasses.replace(PINNED, output_path=str(GOLDEN_PATH)))
