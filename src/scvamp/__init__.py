@@ -22,7 +22,6 @@ from .denoiser import (
     LLR_MAX,
     AlistParseError,
     LdpcCode,
-    LlrVector,
     bernoulli_moments,
     bp_decode,
     encode,
@@ -49,11 +48,9 @@ from .likelihood import (
     log_normalizer,
 )
 from .messages import (
-    DEFAULT_EPSILON,
     DivergenceError,
     GaussianMessage,
     PosteriorSummary,
-    clip_alpha,
     combine,
     extrinsic,
 )

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .codes import builtin_code_ids
-from .experiment import SweepConfig, ber_sweep, mse_trace_experiment, parse_h_mode
+from .experiment import SweepConfig, ber_sweep, mse_trace_experiment
 from .runner import Variant
 
 
@@ -72,16 +72,11 @@ def parse_cli(argv=None) -> SweepConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        snr_list = _parse_snr_list(args.snr_db)
-        variants = _parse_variants(args.variant)
-        parse_h_mode(args.h_mode)
-        if not snr_list:
-            raise ValueError("empty SNR list")
         return SweepConfig(
-            snr_db_list=snr_list,
+            snr_db_list=_parse_snr_list(args.snr_db),
             code=args.code,
             h_mode=args.h_mode,
-            variants=variants,
+            variants=_parse_variants(args.variant),
             nonlinearity=args.nonlinearity,
             outer_iters=args.outer_iters,
             bp_iters=args.bp_iters,

@@ -16,13 +16,12 @@ import numpy as np
 from .denoiser import LdpcCode
 
 
-def make_regular_checks(n, seed, var_degree=3, check_degree=6, strict=True):
+def make_regular_checks(n, seed, var_degree=3, check_degree=6):
     """Check adjacency of an (var_degree, check_degree)-regular code, or None.
 
     Returns a list of variable-index lists, one per check, when the greedy
     placement succeeds with no 4-cycles and exact regularity; returns ``None``
-    when it jams (callers retry with another seed).  ``strict=False`` permits
-    edges that close 4-cycles rather than jamming, for quick throwaway codes.
+    when it jams (callers retry with another seed).
     """
     n = int(n)
     if (n * var_degree) % check_degree != 0:
@@ -48,11 +47,7 @@ def make_regular_checks(n, seed, var_degree=3, check_degree=6, strict=True):
                 and check_vars[c].isdisjoint(neighbor_vars)
             ]
             if not candidates:
-                if strict:
-                    return None
-                candidates = [c for c in range(m) if degree[c] < check_degree and c not in taken]
-                if not candidates:
-                    return None
+                return None
             lowest = degree[candidates].min()
             pool = [c for c in candidates if degree[c] == lowest]
             c = int(pool[rng.integers(len(pool))])
@@ -60,7 +55,7 @@ def make_regular_checks(n, seed, var_degree=3, check_degree=6, strict=True):
             var_checks[v].append(c)
             degree[c] += 1
 
-    if strict and not np.all(degree == check_degree):
+    if not np.all(degree == check_degree):
         return None
     return [sorted(check_vars[c]) for c in range(m)]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .messages import DEFAULT_EPSILON, GaussianMessage, PosteriorSummary, clip_alpha
+from .messages import GaussianMessage, PosteriorSummary
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,13 @@ def _apply_posterior_basis(mix: MixingMatrix, scale, rhs):
 
 
 def coupling_posterior(
-    rx: GaussianMessage,
-    rw: GaussianMessage,
-    mix: MixingMatrix,
-    epsilon=DEFAULT_EPSILON,
+    rx: GaussianMessage, rw: GaussianMessage, mix: MixingMatrix
 ) -> tuple[PosteriorSummary, PosteriorSummary]:
     """Joint posterior summaries of (x, w) under the constraint w = H x.
 
     Returns the x-side and w-side summaries.  ``w.mean`` equals ``H @ x.mean``
-    exactly, and both Onsager coefficients come from the eigenvalue sums
-    described in the module docstring (clipped into ``[eps, 1 - eps]``).
+    exactly, and both Onsager coefficients are the raw eigenvalue sums
+    described in the module docstring.
     """
     if len(rx) != mix.n:
         raise ValueError(f"r_x has length {len(rx)}, expected N={mix.n}")
@@ -114,11 +111,8 @@ def coupling_posterior(
     x_mean = _apply_posterior_basis(mix, sigma2, rhs)
     w_mean = mix.apply(x_mean)
 
-    alpha_x_raw = float(np.mean(ratios))
-    v_post_x = vx * alpha_x_raw
+    alpha_x = float(np.mean(ratios))
     v_post_w = float(np.sum(lam * sigma2) / mix.m)  # trace of H Sigma H^T without forming it
-    alpha_w_raw = v_post_w / vw
-
-    x_post = PosteriorSummary(x_mean, v_post_x, clip_alpha(alpha_x_raw, epsilon))
-    w_post = PosteriorSummary(w_mean, v_post_w, clip_alpha(alpha_w_raw, epsilon))
+    x_post = PosteriorSummary(x_mean, vx * alpha_x, alpha_x)
+    w_post = PosteriorSummary(w_mean, v_post_w, v_post_w / vw)
     return x_post, w_post

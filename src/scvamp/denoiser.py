@@ -37,19 +37,6 @@ class AlistParseError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class LlrVector:
-    """Log-likelihood ratios for all n bits (natural log, L > 0 means bit 0)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class LdpcCode:
     """Sparse binary parity-check code with a derived systematic encoder.
 
@@ -286,8 +273,8 @@ def serialize_alist(code: LdpcCode) -> str:
 # sum-product decoding
 # ---------------------------------------------------------------------------
 
-def bp_decode(code: LdpcCode, llr_in: LlrVector, iterations: int) -> LlrVector:
-    """A-posteriori LLRs from flooding sum-product decoding.
+def bp_decode(code: LdpcCode, llr_in, iterations: int) -> np.ndarray:
+    """A-posteriori LLRs of all n bits from flooding sum-product decoding.
 
     Check updates use the tanh product rule, evaluated through sign and
     log-magnitude sums per check so that exact-zero messages and near-one
@@ -296,12 +283,12 @@ def bp_decode(code: LdpcCode, llr_in: LlrVector, iterations: int) -> LlrVector:
     """
     if int(iterations) < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    llr = np.clip(llr_in.values, -LLR_MAX, LLR_MAX)
+    llr = np.clip(np.asarray(llr_in, dtype=np.float64), -LLR_MAX, LLR_MAX)
     if llr.shape != (code.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={code.n}")
     ev, ec = code.edge_var, code.edge_check
     if ev.size == 0:
-        return LlrVector(llr.copy())
+        return llr
     num_checks = code.num_checks
     c2v = np.zeros(ev.size)
 
@@ -326,12 +313,12 @@ def bp_decode(code: LdpcCode, llr_in: LlrVector, iterations: int) -> LlrVector:
         prod = sign * np.minimum(np.exp(excl_log), _TANH_CLIP)
         c2v = np.where(live, 2.0 * np.arctanh(prod), 0.0)
 
-    return LlrVector(llr + np.bincount(ev, weights=c2v, minlength=code.n))
+    return llr + np.bincount(ev, weights=c2v, minlength=code.n)
 
 
-def llr_from_pseudo(rx: GaussianMessage) -> LlrVector:
+def llr_from_pseudo(rx: GaussianMessage) -> np.ndarray:
     """Channel LLRs of a Gaussian pseudo-observation: L = 2 r / v, saturated."""
-    return LlrVector(np.clip(2.0 * rx.mean / rx.variance, -LLR_MAX, LLR_MAX))
+    return np.clip(2.0 * rx.mean / rx.variance, -LLR_MAX, LLR_MAX)
 
 
 def bernoulli_moments(llr_values):

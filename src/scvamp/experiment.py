@@ -74,6 +74,9 @@ class SweepConfig:
             raise ValueError(f"error_unit must be 'bit' or 'frame', got {self.error_unit!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        parse_h_mode(self.h_mode)
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("SNR points must not repeat")
@@ -141,7 +144,7 @@ def load_code(spec_text):
 
 def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, quadrature_order, seed):
     """Scenario for one (snr, seed) trial; H is redrawn per seed from its sub-stream."""
-    mode = parse_h_mode(h_mode) if isinstance(h_mode, str) else h_mode
+    mode = parse_h_mode(h_mode)
     rng_h = substream(seed, "H")
     if mode[0] == "iid":
         _, m, n = mode
@@ -169,12 +172,16 @@ def _pool_init(code, config):
 
 @contextmanager
 def _worker_pool(code, config):
-    """A spawned process pool for ``config.workers > 1``, otherwise ``None``."""
+    """A spawned process pool for ``config.workers > 1``, otherwise ``None``.
+
+    A dispatch block holds at most ``_BLOCK_SIZE`` seeds, so no more processes
+    than that are started.
+    """
     if config.workers == 1:
         yield None
         return
     pool = multiprocessing.get_context("spawn").Pool(
-        config.workers, initializer=_pool_init, initargs=(code, config)
+        min(config.workers, _BLOCK_SIZE), initializer=_pool_init, initargs=(code, config)
     )
     try:
         yield pool

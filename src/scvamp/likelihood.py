@@ -23,13 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .messages import (
-    DEFAULT_EPSILON,
-    GaussianMessage,
-    PosteriorSummary,
-    clip_alpha,
-    extrinsic,
-)
+from .messages import GaussianMessage, PosteriorSummary, extrinsic
 
 NONLINEARITIES: dict[str, Callable] = {
     "id": lambda w: w,
@@ -101,14 +95,6 @@ def gh_rule(order: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes, weights)
-
-
-def _conjugate_moments(r, v, y, sigma2):
-    """Closed-form moments for the identity nonlinearity (Gaussian x Gaussian)."""
-    v_post = 1.0 / (1.0 / v + 1.0 / sigma2)
-    m1 = v_post * (r / v + y / sigma2)
-    m2 = m1 * m1 + v_post
-    return m1, m2
 
 
 _ADAPT_PASSES = 3
@@ -187,18 +173,16 @@ def log_normalizer(r, v, y, spec: ChannelSpec):
 
 
 def likelihood_step(
-    rw: GaussianMessage,
-    y,
-    spec: ChannelSpec,
-    epsilon=DEFAULT_EPSILON,
+    rw: GaussianMessage, y, spec: ChannelSpec
 ) -> tuple[GaussianMessage, PosteriorSummary]:
     """One full pass of the observation stage.
 
     Component posterior means and the trace-averaged posterior variance are
     computed from the quadrature moments; the Onsager coefficient is their
-    variance ratio (clipped) and the extrinsic output follows the universal
-    update.  For the identity nonlinearity the extrinsic output is exactly
-    ``(y, sigma2)``, independent of the input message.
+    raw variance ratio and the extrinsic output follows the universal update.
+    For the identity nonlinearity the moments take the conjugate closed form
+    and the extrinsic output is exactly ``(y, sigma2)``, independent of the
+    input message.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.shape != rw.mean.shape:
@@ -207,10 +191,9 @@ def likelihood_step(
     sigma2 = spec.noise_variance
 
     if spec.is_identity:
-        m1, m2 = _conjugate_moments(rw.mean, v, y, sigma2)
         v_post = 1.0 / (1.0 / v + 1.0 / sigma2)
-        post = PosteriorSummary(m1, v_post, clip_alpha(v_post / v, epsilon))
-        return GaussianMessage(y, sigma2), post
+        m1 = v_post * (rw.mean / v + y / sigma2)
+        return GaussianMessage(y, sigma2), PosteriorSummary(m1, v_post, v_post / v)
 
     rule = gh_rule(spec.quadrature_order)
     m1, m2, _, bad = _quadrature_moments(rw.mean, v, y, spec.f, sigma2, rule)
@@ -220,5 +203,5 @@ def likelihood_step(
             RuntimeWarning,
         )
     v_post = float(np.mean(m2 - m1 * m1))
-    post = PosteriorSummary(m1, v_post, clip_alpha(v_post / v, epsilon))
+    post = PosteriorSummary(m1, v_post, v_post / v)
     return extrinsic(rw, post), post

@@ -6,7 +6,8 @@ one shared (isotropic) variance, and answers with a message of the same form.
 The extrinsic transformation removes the input's own contribution from a
 posterior so that no stage feeds its input information back to itself; the
 Onsager coefficient ``alpha`` (posterior variance over input variance) governs
-that subtraction.
+that subtraction.  Stages report the raw ratio and :func:`extrinsic` is the one
+place it is clamped.
 
 All types here are immutable values and all operations are pure functions, so
 they are safe to share across threads.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_EPSILON = 1e-6
+_EPSILON = 1e-6  # extrinsic clamps alpha into [_EPSILON, 1 - _EPSILON]
 
 
 class DivergenceError(ValueError):
@@ -56,11 +57,11 @@ class GaussianMessage:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Posterior moments of one stage plus its clipped Onsager coefficient.
+    """Posterior moments of one stage plus its raw Onsager coefficient.
 
     ``variance`` is the raw trace-averaged posterior variance (it may be zero
-    for a saturated denoiser); ``alpha`` is the variance ratio
-    ``posterior / input`` already clipped into ``[eps, 1 - eps]``.  The ratio
+    for a saturated denoiser); ``alpha`` is the unclipped variance ratio
+    ``posterior / input`` (:func:`extrinsic` clamps it).  The ratio
     parameterization is interchangeable with the Fisher-information form
     ``alpha = 1 - (v_in / N) * J`` where ``J`` is the trace Fisher information
     of the pseudo-observation; the finite-difference test suites verify the
@@ -81,43 +82,24 @@ class PosteriorSummary:
         a = float(self.alpha)
         if not np.isfinite(a):
             raise DivergenceError("alpha is non-finite")
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha must lie strictly inside (0, 1) after clipping, got {a}")
         object.__setattr__(self, "variance", v)
         object.__setattr__(self, "alpha", a)
-
-
-def clip_alpha(alpha, epsilon=DEFAULT_EPSILON):
-    """Clamp an Onsager coefficient into [epsilon, 1 - epsilon].
-
-    Interior values pass through unchanged; values at or beyond the ends are
-    pulled inside so extrinsic variances stay positive and finite.  A
-    non-finite ``alpha`` raises :class:`DivergenceError` since it signals
-    numerical divergence upstream, not a clippable value.
-    """
-    eps = float(epsilon)
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {eps}")
-    a = float(alpha)
-    if not np.isfinite(a):
-        raise DivergenceError(f"cannot clip non-finite alpha {a}")
-    return min(max(a, eps), 1.0 - eps)
 
 
 def extrinsic(input_msg: GaussianMessage, posterior: PosteriorSummary) -> GaussianMessage:
     """Onsager-corrected extrinsic message: posterior with the input divided out.
 
-    With ``a = posterior.alpha`` (already clipped into (0, 1)):
+    With ``a = posterior.alpha`` clamped into ``[1e-6, 1 - 1e-6]``:
 
         mean = (posterior.mean - a * input.mean) / (1 - a)
         variance = a / (1 - a) * input.variance
 
-    Recombining the result with the input (see :func:`combine`) reproduces the
-    posterior moments exactly, which is the defining property of the update.
+    The clamp keeps the variance positive and finite for a saturated or an
+    uninformative stage.  Recombining the result with the input (see
+    :func:`combine`) reproduces the posterior moments exactly when ``alpha``
+    lies inside the clamp, which is the defining property of the update.
     """
-    a = posterior.alpha
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"posterior alpha {a} outside (0, 1); clip before extrinsic")
+    a = min(max(posterior.alpha, _EPSILON), 1.0 - _EPSILON)
     if posterior.mean.shape != input_msg.mean.shape:
         raise ValueError(
             f"dimension mismatch: posterior {posterior.mean.shape} vs input {input_msg.mean.shape}"

@@ -42,14 +42,7 @@ from .channel import Realization, TrialScenario, realize
 from .coupling import coupling_posterior
 from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
 from .likelihood import likelihood_step
-from .messages import (
-    DEFAULT_EPSILON,
-    DivergenceError,
-    GaussianMessage,
-    PosteriorSummary,
-    clip_alpha,
-    extrinsic,
-)
+from .messages import DivergenceError, GaussianMessage, PosteriorSummary, extrinsic
 
 # forwarded posteriors and saturated decodes can carry exactly-zero variance;
 # messages need > 0
@@ -91,9 +84,11 @@ POLICIES = MappingProxyType({
 class IterationTrace:
     """Per-iteration diagnostics: MSE, message variances, raw Onsager ratios.
 
-    ``alphas`` holds the unclipped variance ratios (coupling x-side,
-    observation stage, denoiser stage); entries are NaN when a variant does
-    not compute that stage.  Length equals the number of executed iterations.
+    ``alphas`` holds each stage's ``PosteriorSummary.alpha``, the variance
+    ratio before :func:`~scvamp.messages.extrinsic` clamps it (coupling
+    x-side, observation stage, denoiser stage); entries are NaN when a variant
+    does not compute that stage.  Length equals the number of executed
+    iterations.
     """
 
     mse: np.ndarray
@@ -131,7 +126,6 @@ def run_variant(
     bp_iters: int = 20,
     *,
     early_stop: bool = False,
-    epsilon: float = DEFAULT_EPSILON,
     truth: Realization | None = None,
 ) -> DecodeResult:
     """Run one receiver variant for ``outer_iters`` iterations on one frame.
@@ -162,35 +156,33 @@ def run_variant(
         observed = GaussianMessage(y, spec.noise_variance)
         rx_msg, rw_msg = GaussianMessage(np.zeros(n), 1.0), observed
         for t in range(1, int(outer_iters) + 1):
-            x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix, epsilon)
-            alpha_c_raw = x_post_c.variance / rx_msg.variance
+            x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix)
             to_denoiser = forward(rx_msg, x_post_c)
             to_observer = forward(rw_msg, w_post_c)
 
             llr_in = llr_from_pseudo(to_denoiser)
             llr_app = bp_decode(code, llr_in, bp_iters)
-            means, v_post_b = bernoulli_moments(llr_app.values)
-            alpha_b_raw = v_post_b / to_denoiser.variance
-            post_b = PosteriorSummary(means, v_post_b, clip_alpha(alpha_b_raw, epsilon))
+            means, v_post_b = bernoulli_moments(llr_app)
+            post_b = PosteriorSummary(means, v_post_b, v_post_b / to_denoiser.variance)
             if policy.llr_subtraction:
-                ext_means, ext_var = bernoulli_moments(llr_app.values - llr_in.values)
+                ext_means, ext_var = bernoulli_moments(llr_app - llr_in)
                 rx_msg = GaussianMessage(ext_means, max(ext_var, _VARIANCE_FLOOR))
             else:
                 rx_msg = forward(to_denoiser, post_b)
             x_hat = post_b.mean
 
             if policy.observer_live:
-                ext_w, post_a = likelihood_step(to_observer, y, spec, epsilon)
-                alpha_a_raw = post_a.variance / to_observer.variance
+                ext_w, post_a = likelihood_step(to_observer, y, spec)
+                alpha_a = post_a.alpha
                 rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
             else:
-                alpha_a_raw = np.nan
+                alpha_a = np.nan
                 rw_msg = observed
 
             mse.append(float(np.mean((x_hat - truth.symbols) ** 2)))
             vxs.append(rx_msg.variance)
             vws.append(rw_msg.variance)
-            alphas.append((alpha_c_raw, alpha_a_raw, alpha_b_raw))
+            alphas.append((x_post_c.alpha, alpha_a, post_b.alpha))
 
             hard = hard_decision(x_hat)
             if (

@@ -19,7 +19,7 @@ from oracles import (
 from scvamp.channel import realize
 from scvamp.codes import BUILTIN_CODES, load_builtin
 from scvamp.coupling import coupling_posterior, precompute
-from scvamp.denoiser import LdpcCode, LlrVector, bp_decode, parse_alist, serialize_alist
+from scvamp.denoiser import LdpcCode, bp_decode, parse_alist, serialize_alist
 from scvamp.experiment import SweepConfig, ber_sweep, build_scenario, wilson_interval
 from scvamp.likelihood import ChannelSpec, likelihood_step, log_normalizer
 from scvamp.messages import GaussianMessage, PosteriorSummary, combine, extrinsic
@@ -80,7 +80,7 @@ def test_criterion_03_bp_vs_exhaustive_posterior():
         code = LdpcCode.from_checks(n, [list(range(n))])
         for _ in range(10):
             llr = rng.normal(scale=2.0, size=n)
-            post = np.tanh(bp_decode(code, LlrVector(llr), 1).values / 2)
+            post = np.tanh(bp_decode(code, llr, 1) / 2)
             oracle = exhaustive_symbol_posterior(n, code.checks, llr)
             worst = max(worst, float(np.max(np.abs(post - oracle))))
     _report(3, worst <= 1e-10,

@@ -125,6 +125,21 @@ def test_sweep_config_validation(small_code_path):
             with pytest.raises(ValueError, match="quadrature order"):
                 SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                             nonlinearity=nonlinearity, quadrature_order=order)
+    with pytest.raises(ValueError, match="master_seed"):
+        SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                    master_seed=-1)
+    for h_mode in ("bogus", "iid:0x128"):
+        with pytest.raises(ValueError, match="mode"):
+            SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode=h_mode)
+
+
+@pytest.mark.parametrize("experiment", ["ber", "mse-trace"])
+def test_negative_seed_is_usage_error(small_code_path, tmp_path, experiment):
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, tmp_path / "o.csv")
+             + ["--experiment", experiment, "--seed", "-1"])
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--outer-iters", "--bp-iters"])

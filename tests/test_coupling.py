@@ -86,7 +86,9 @@ def test_posterior_zero_matrix_uninformative_w_side():
     rx = _msg([0.5, -1.0, 2.0], 0.7)
     x, w = coupling_posterior(rx, _msg(np.ones(3), 1.3), mix)
     np.testing.assert_allclose(x.mean, rx.mean, rtol=1e-14)
-    assert x.alpha == pytest.approx(1.0 - 1e-6)  # raw 1 clipped down
+    assert x.alpha == 1.0  # raw ratio; extrinsic clips it down
+    top = 1.0 - 1e-6
+    assert extrinsic(rx, x).variance == top / (1.0 - top) * 0.7
     np.testing.assert_allclose(w.mean, 0.0)
     assert w.variance == 0.0
 

@@ -138,7 +138,9 @@ def test_uninformative_observation_limit():
     spec = ChannelSpec("tanh", 1e6)
     rw = GaussianMessage(np.zeros(4), 0.5)
     ext, post = likelihood_step(rw, np.ones(4), spec)
-    assert post.alpha == pytest.approx(1.0 - 1e-6)  # raw ratio clipped at the ceiling
+    top = 1.0 - 1e-6
+    assert top < post.alpha < 1.0  # raw ratio above the ceiling extrinsic clips it to
+    assert ext.variance == top / (1.0 - top) * 0.5
     assert ext.variance > 1e4
 
 

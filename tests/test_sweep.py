@@ -13,6 +13,7 @@ Regenerate the file (only for an intended change of results) with
 
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,6 +80,35 @@ def test_mse_trace_builds_once_per_trial(monkeypatch):
         experiment="mse-trace",
     ))
     assert calls == {"build_scenario": 4, "precompute": 4}
+
+
+@pytest.mark.parametrize("workers, size", [(64, 16), (3, 3)])
+def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, size):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for a spawned pool: records its size and maps in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(scvamp.experiment, "_POOL_STATE", {})
+    monkeypatch.setattr(scvamp.experiment.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=InProcessPool))
+    config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers)
+    csv = _sweep_csv(config, tmp_path / "pooled.csv")
+    assert sizes == [size]
+    assert csv == _sweep_csv(dataclasses.replace(config, workers=1), tmp_path / "serial.csv")
 
 
 if __name__ == "__main__":
