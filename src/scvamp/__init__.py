@@ -10,8 +10,7 @@ from .channel import (
     Realization,
     TrialScenario,
     bpsk,
-    gen_h_blockdiag,
-    gen_h_iid,
+    gen_h,
     realize,
     substream,
     transmit,
@@ -51,7 +50,6 @@ from .messages import (
     DivergenceError,
     GaussianMessage,
     PosteriorSummary,
-    combine,
     extrinsic,
 )
 from .runner import (

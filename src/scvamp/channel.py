@@ -41,10 +41,6 @@ class TrialScenario:
                 f"matrix has {self.h.n} columns but the code length is {self.code.n}"
             )
 
-    @property
-    def snr(self):
-        return 1.0 / self.spec.noise_variance
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -53,25 +49,17 @@ class Realization:
     info_bits: np.ndarray
     codeword: np.ndarray
     symbols: np.ndarray
-    mixed: np.ndarray  # w = H x, kept for diagnostics
     y: np.ndarray
 
 
-def gen_h_iid(m, n, rng) -> MixingMatrix:
-    """Dense matrix with i.i.d. Gaussian entries of variance 1/m."""
-    return precompute(rng.normal(0.0, 1.0 / np.sqrt(m), size=(int(m), int(n))))
+def gen_h(rows, cols, repeats, rng) -> MixingMatrix:
+    """``H = I_R ⊗ A`` with one rows x cols Gaussian block A repeated R = repeats times.
 
-
-def gen_h_blockdiag(size, repeats, rng) -> MixingMatrix:
-    """Square matrix ``I_R ⊗ A`` with one B x B Gaussian block A (B = size, R = repeats).
-
-    The block entries have variance 1/B, so the per-symbol sub-channel does
-    not depend on how many times the block is repeated.
+    The block entries are i.i.d. with variance 1/rows, so the per-symbol
+    sub-channel does not depend on how many times the block is repeated; a
+    dense i.i.d. matrix is the single block ``repeats=1``.
     """
-    b = int(size)
-    if b < 1:
-        raise ValueError(f"block size must be at least 1, got {size}")
-    return precompute(rng.normal(0.0, 1.0 / np.sqrt(b), size=(b, b)), repeats)
+    return precompute(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(int(rows), int(cols))), repeats)
 
 
 def bpsk(bits) -> np.ndarray:
@@ -79,16 +67,15 @@ def bpsk(bits) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def transmit(x, scenario: TrialScenario):
-    """Push symbols through y = f(H x) + z; returns (y, w) with w = H x."""
+def transmit(x, scenario: TrialScenario) -> np.ndarray:
+    """Push symbols through the channel and return the observation ``y = f(H x) + z``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (scenario.h.n,):
         raise ValueError(f"symbol vector has shape {x.shape}, expected ({scenario.h.n},)")
-    w = scenario.h.apply(x)
     noise = substream(scenario.seed, "noise").normal(
         0.0, np.sqrt(scenario.spec.noise_variance), size=scenario.h.m
     )
-    return scenario.spec.f(w) + noise, w
+    return scenario.spec.f(scenario.h.apply(x)) + noise
 
 
 def realize(scenario: TrialScenario) -> Realization:
@@ -96,6 +83,5 @@ def realize(scenario: TrialScenario) -> Realization:
     info = substream(scenario.seed, "bits").integers(0, 2, size=scenario.code.k, dtype=np.uint8)
     codeword = encode(scenario.code, info)
     x = bpsk(codeword)
-    y, w = transmit(x, scenario)
-    return Realization(info, codeword, x, w, y)
+    return Realization(info, codeword, x, transmit(x, scenario))
 

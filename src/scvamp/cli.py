@@ -37,25 +37,26 @@ def build_parser():
         ),
     )
     parser.add_argument("--experiment", choices=("ber", "mse-trace"), default="ber")
-    parser.add_argument("--snr-db", required=True,
+    parser.add_argument("--snr-db", dest="snr_db_list", required=True,
                         help="comma list or inclusive range a:b:step, in dB")
-    parser.add_argument("--variant", default="scvamp3",
+    parser.add_argument("--variant", dest="variants", default="scvamp3",
                         help="comma list of: " + ",".join(v.value for v in Variant))
     parser.add_argument("--code", required=True,
                         help="alist path or builtin:<id>; builtins: "
                              + ", ".join(builtin_code_ids()))
     parser.add_argument("--h", dest="h_mode", required=True,
                         help="channel matrix mode: iid:MxN or blockdiag:B")
-    parser.add_argument("--nonlinearity", choices=("id", "tanh"), default="id")
+    parser.add_argument("--nonlinearity", default="id",
+                        help="name of the component-wise f in y = f(Hx) + z")
     parser.add_argument("--outer-iters", type=int, default=20)
     parser.add_argument("--bp-iters", type=int, default=20)
     parser.add_argument("--min-errors", type=int, default=500)
     parser.add_argument("--max-seeds", type=int, default=2000)
     parser.add_argument("--error-unit", choices=("bit", "frame"), default="bit")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=50,
+    parser.add_argument("--seed", dest="master_seed", type=int, default=0)
+    parser.add_argument("--trials", dest="mse_trials", type=int, default=50,
                         help="trial count for the mse-trace experiment")
-    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--out", dest="output_path", required=True, help="output CSV path")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for either experiment")
     parser.add_argument("--deterministic", action="store_true",
@@ -69,29 +70,13 @@ def build_parser():
 
 
 def parse_cli(argv=None) -> SweepConfig:
+    """Map the flags onto ``SweepConfig`` by name: each ``dest`` is a field."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return SweepConfig(
-            snr_db_list=_parse_snr_list(args.snr_db),
-            code=args.code,
-            h_mode=args.h_mode,
-            variants=_parse_variants(args.variant),
-            nonlinearity=args.nonlinearity,
-            outer_iters=args.outer_iters,
-            bp_iters=args.bp_iters,
-            min_errors=args.min_errors,
-            max_seeds=args.max_seeds,
-            master_seed=args.seed,
-            output_path=args.out,
-            workers=args.workers,
-            error_unit=args.error_unit,
-            mse_trials=args.trials,
-            experiment=args.experiment,
-            deterministic=args.deterministic,
-            capacity_db=args.capacity_db,
-            early_stop=args.early_stop,
-        )
+        args.snr_db_list = _parse_snr_list(args.snr_db_list)
+        args.variants = _parse_variants(args.variants)
+        return SweepConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -24,8 +24,13 @@ def builtin_code_ids():
     return sorted(BUILTIN_CODES)
 
 
-def load_builtin(code_id) -> LdpcCode:
+def builtin_code_file(code_id):
+    """The packaged alist file name of a builtin id; ValueError on an unknown id."""
     if code_id not in BUILTIN_CODES:
         raise ValueError(f"unknown builtin code {code_id!r}; known: {builtin_code_ids()}")
-    text = resources.files(__package__).joinpath(BUILTIN_CODES[code_id]).read_text("ascii")
+    return BUILTIN_CODES[code_id]
+
+
+def load_builtin(code_id) -> LdpcCode:
+    text = resources.files(__package__).joinpath(builtin_code_file(code_id)).read_text("ascii")
     return parse_alist(text)

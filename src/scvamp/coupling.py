@@ -53,12 +53,17 @@ class MixingMatrix:
         return self.repeats * self.block.shape[1]
 
     def apply(self, x):
-        """``H x``, one matrix-vector product per block."""
-        return np.concatenate([self.block @ part for part in np.reshape(x, (self.repeats, -1))])
+        """``H x``, one matrix-vector product per block.
+
+        The R parts go in as a stack of column vectors, so each is its own
+        product ``A @ x_r`` and bit-identical to it; the single matrix product
+        ``x.reshape(R, -1) @ A.T`` sums in another order.
+        """
+        return (self.block @ np.reshape(x, (self.repeats, -1, 1))).reshape(-1)
 
     def apply_t(self, w):
         """``H^T w``, one matrix-vector product per block."""
-        return np.concatenate([self.block.T @ part for part in np.reshape(w, (self.repeats, -1))])
+        return (self.block.T @ np.reshape(w, (self.repeats, -1, 1))).reshape(-1)
 
 
 def precompute(block, repeats=1) -> MixingMatrix:

@@ -33,8 +33,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channel import TrialScenario, gen_h_blockdiag, gen_h_iid, realize, substream
-from .codes import load_builtin
+from .channel import TrialScenario, gen_h, realize, substream
+from .codes import builtin_code_file, load_builtin
 from .denoiser import LdpcCode, load_alist
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
@@ -57,9 +57,8 @@ class SweepConfig:
     output_path: str | None = None
     workers: int = 1
     error_unit: str = "bit"
-    quadrature_order: int = 50
     mse_trials: int = 50
-    experiment: str = "ber"
+    experiment: str = "ber"  # "ber" or "mse-trace"
     deterministic: bool = False
     capacity_db: float | None = None
     early_stop: bool = False
@@ -72,11 +71,20 @@ class SweepConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.error_unit not in ("bit", "frame"):
             raise ValueError(f"error_unit must be 'bit' or 'frame', got {self.error_unit!r}")
+        if self.experiment not in ("ber", "mse-trace"):
+            raise ValueError(f"experiment must be 'ber' or 'mse-trace', got {self.experiment!r}")
+        if self.experiment == "mse-trace":
+            if len(self.snr_db_list) != 1:
+                raise ValueError("mse trace runs at exactly one SNR")
+            if self.early_stop:
+                raise ValueError("early stopping applies to BER sweeps only, not to mse trace")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         parse_h_mode(self.h_mode)
+        if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
+            builtin_code_file(self.code.split(":", 1)[1])
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("SNR points must not repeat")
@@ -85,9 +93,9 @@ class SweepConfig:
         )
         if len(set(self.variants)) != len(self.variants):
             raise ValueError("variants must not repeat")
-        # fail now, not after the first H build, on a bad SNR, nonlinearity or quadrature order
+        # fail now, not after the first H build, on a bad SNR or nonlinearity
         for snr_db in self.snr_db_list:
-            ChannelSpec.from_snr_db(snr_db, self.nonlinearity, self.quadrature_order)
+            ChannelSpec.from_snr_db(snr_db, self.nonlinearity)
 
     @property
     def pairs(self):
@@ -142,22 +150,18 @@ def load_code(spec_text):
     return code, os.path.splitext(os.path.basename(spec_text))[0]
 
 
-def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, quadrature_order, seed):
-    """Scenario for one (snr, seed) trial; H is redrawn per seed from its sub-stream."""
-    mode = parse_h_mode(h_mode)
-    rng_h = substream(seed, "H")
-    if mode[0] == "iid":
-        _, m, n = mode
-        if n != code.n:
-            raise ValueError(f"H has {n} columns but the code length is {code.n}")
-        mix = gen_h_iid(m, n, rng_h)
-    else:
-        _, block = mode
-        if code.n % block != 0:
-            raise ValueError(f"code length {code.n} is not divisible by block size {block}")
-        mix = gen_h_blockdiag(block, code.n // block, rng_h)
-    spec = ChannelSpec.from_snr_db(snr_db, nonlinearity, quadrature_order)
-    return TrialScenario(code, mix, spec, int(seed))
+def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
+    """Scenario for one (snr, seed) trial; H is redrawn per seed from its sub-stream.
+
+    ``iid:MxN`` is one M x N block and ``blockdiag:B`` repeats a B x B block
+    to fill the code length.
+    """
+    kind, *sizes = parse_h_mode(h_mode)
+    rows, cols = sizes[0], sizes[-1]
+    if code.n % cols or (kind == "iid" and cols != code.n):
+        raise ValueError(f"H mode {h_mode!r} does not fit the code length {code.n}")
+    mix = gen_h(rows, cols, code.n // cols, substream(seed, "H"))
+    return TrialScenario(code, mix, ChannelSpec.from_snr_db(snr_db, nonlinearity), int(seed))
 
 
 # -- worker plumbing ---------------------------------------------------------
@@ -196,13 +200,10 @@ def _seed_outcomes(code, config, seed, work):
     ``work`` lists the pairs grouped by SNR.  H is drawn and decomposed once,
     at the first SNR; every SNR point swaps only the channel spec.
     """
-    scenario = build_scenario(
-        code, config.h_mode, work[0][0], config.nonlinearity, config.quadrature_order, seed
-    )
+    scenario = build_scenario(code, config.h_mode, work[0][0], config.nonlinearity, seed)
     out = {}
     for snr_db, at_snr in groupby(work, key=itemgetter(0)):
-        spec = ChannelSpec.from_snr_db(snr_db, config.nonlinearity, config.quadrature_order)
-        scenario = replace(scenario, spec=spec)
+        scenario = replace(scenario, spec=ChannelSpec.from_snr_db(snr_db, config.nonlinearity))
         truth = realize(scenario)
         for _, variant in at_snr:
             res = run_variant(
@@ -285,10 +286,7 @@ def mse_trace_experiment(config: SweepConfig):
     median_per_iter, diverged_per_iter)} and writes the CSV if an output path
     is configured.
     """
-    if len(config.snr_db_list) != 1:
-        raise ValueError("mse trace runs at exactly one SNR")
-    if config.early_stop:
-        raise ValueError("early stopping applies to BER sweeps only, not to mse trace")
+    config = replace(config, experiment="mse-trace")  # re-validates the mse-trace rules
     code, _ = load_code(config.code)
     iters = config.outer_iters
     per_variant = {v: np.full((config.mse_trials, iters + 1), np.nan) for v in config.variants}

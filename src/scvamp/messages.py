@@ -95,9 +95,9 @@ def extrinsic(input_msg: GaussianMessage, posterior: PosteriorSummary) -> Gaussi
         variance = a / (1 - a) * input.variance
 
     The clamp keeps the variance positive and finite for a saturated or an
-    uninformative stage.  Recombining the result with the input (see
-    :func:`combine`) reproduces the posterior moments exactly when ``alpha``
-    lies inside the clamp, which is the defining property of the update.
+    uninformative stage.  The precision-weighted product of the result with
+    the input reproduces the posterior moments exactly when ``alpha`` lies
+    inside the clamp, which is the defining property of the update.
     """
     a = min(max(posterior.alpha, _EPSILON), 1.0 - _EPSILON)
     if posterior.mean.shape != input_msg.mean.shape:
@@ -107,18 +107,4 @@ def extrinsic(input_msg: GaussianMessage, posterior: PosteriorSummary) -> Gaussi
     denom = 1.0 - a
     mean = (posterior.mean - a * input_msg.mean) / denom
     variance = a / denom * input_msg.variance
-    return GaussianMessage(mean, variance)
-
-
-def combine(a: GaussianMessage, b: GaussianMessage) -> GaussianMessage:
-    """Precision-weighted product of two Gaussian messages.
-
-    Used by the test suite to verify the extrinsic roundtrip identity; the
-    receiver itself never multiplies messages directly.
-    """
-    if a.mean.shape != b.mean.shape:
-        raise ValueError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
-    precision = 1.0 / a.variance + 1.0 / b.variance
-    variance = 1.0 / precision
-    mean = variance * (a.mean / a.variance + b.mean / b.variance)
     return GaussianMessage(mean, variance)

@@ -7,6 +7,8 @@ code paths it is meant to verify.
 
 import numpy as np
 
+from scvamp.messages import GaussianMessage
+
 
 def dense_coupling(h, rx_mean, vx, rw_mean, vw):
     """Literal LMMSE posterior via an explicit dense inverse.
@@ -92,3 +94,17 @@ def log_gaussian_coupling_normalizer(h, rx_mean, vx, rw_mean, vw):
         -0.5 * resid @ np.linalg.solve(cov, resid) - 0.5 * logdet
         - 0.5 * m * np.log(2.0 * np.pi)
     )
+
+
+def combine(a, b):
+    """Precision-weighted product of two Gaussian messages.
+
+    The extrinsic roundtrip identity: ``combine(input, extrinsic(input, post))``
+    reproduces the posterior moments.
+    """
+    if a.mean.shape != b.mean.shape:
+        raise ValueError(f"dimension mismatch: {a.mean.shape} vs {b.mean.shape}")
+    precision = 1.0 / a.variance + 1.0 / b.variance
+    variance = 1.0 / precision
+    mean = variance * (a.mean / a.variance + b.mean / b.variance)
+    return GaussianMessage(mean, variance)

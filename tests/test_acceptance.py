@@ -11,6 +11,7 @@ import pytest
 
 from conftest import component_moments
 from oracles import (
+    combine,
     dense_coupling,
     exhaustive_symbol_posterior,
     log_gaussian_coupling_normalizer,
@@ -22,7 +23,7 @@ from scvamp.coupling import coupling_posterior, precompute
 from scvamp.denoiser import LdpcCode, bp_decode, parse_alist, serialize_alist
 from scvamp.experiment import SweepConfig, ber_sweep, build_scenario, wilson_interval
 from scvamp.likelihood import ChannelSpec, likelihood_step, log_normalizer
-from scvamp.messages import GaussianMessage, PosteriorSummary, combine, extrinsic
+from scvamp.messages import GaussianMessage, PosteriorSummary, extrinsic
 from scvamp.runner import Variant, run_variant
 
 
@@ -165,7 +166,7 @@ def test_criterion_06_identity_reduction():
                         abs(ext.variance - 0.25))
     worst_trace = 0.0
     for seed in range(3):
-        scenario = build_scenario(code, "iid:128x128", 6.0, "id", 50, seed)
+        scenario = build_scenario(code, "iid:128x128", 6.0, "id", seed)
         truth = realize(scenario)
         a = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
         b = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
@@ -204,7 +205,7 @@ def test_criterion_08_mse_convergence_analogue():
     variants = (Variant.SCVAMP3, Variant.NO_ONSAGER, Variant.LLR_TURBO)
     finals = {v: [] for v in variants}
     for seed in range(50):
-        scenario = build_scenario(code, "iid:128x128", 6.0, "id", 50, seed)
+        scenario = build_scenario(code, "iid:128x128", 6.0, "id", seed)
         truth = realize(scenario)
         for v in variants:
             res = run_variant(v, truth.y, scenario, 20, 20, truth=truth)

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from scvamp.cli import main, parse_cli
+from scvamp.cli import build_parser, main, parse_cli
 from scvamp.codegen import make_regular_code
 from scvamp.denoiser import serialize_alist
 from scvamp.experiment import (
@@ -50,6 +53,36 @@ def test_parse_defaults_are_paper_scale(small_code_path, tmp_path):
     assert cfg.min_errors == 500 and cfg.max_seeds == 2000
     assert cfg.outer_iters == 20 and cfg.bp_iters == 20
     assert cfg.error_unit == "bit"
+
+
+def test_every_flag_reaches_its_field(small_code_path, tmp_path):
+    cfg = parse_cli([
+        "--experiment", "mse-trace", "--snr-db", "7.5", "--variant", "no-onsager,llr-turbo",
+        "--code", small_code_path, "--h", "blockdiag:16", "--nonlinearity", "tanh",
+        "--outer-iters", "7", "--bp-iters", "9", "--min-errors", "11", "--max-seeds", "13",
+        "--error-unit", "frame", "--seed", "17", "--trials", "19",
+        "--out", str(tmp_path / "o.csv"), "--workers", "3", "--deterministic",
+        "--capacity-db", "4.25",
+    ])
+    assert cfg == SweepConfig(
+        snr_db_list=(7.5,), code=small_code_path, h_mode="blockdiag:16",
+        variants=(Variant.NO_ONSAGER, Variant.LLR_TURBO), nonlinearity="tanh",
+        outer_iters=7, bp_iters=9, min_errors=11, max_seeds=13, master_seed=17,
+        output_path=str(tmp_path / "o.csv"), workers=3, error_unit="frame", mse_trials=19,
+        experiment="mse-trace", deterministic=True, capacity_db=4.25,
+    )
+    # mse-trace rejects --early-stop, so it is checked on a BER sweep
+    assert parse_cli(_base_args(small_code_path, tmp_path / "o.csv")
+                     + ["--early-stop"]).early_stop is True
+
+
+def test_readme_flag_list_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("\nFlags:"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    options = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert documented == options - {"-h", "--help"}
 
 
 def test_missing_code_is_usage_error(tmp_path):
@@ -120,17 +153,29 @@ def test_sweep_config_validation(small_code_path):
     with pytest.raises(ValueError, match="nonlinearity"):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     nonlinearity="cubic")
-    for nonlinearity in ("id", "tanh"):
-        for order in (1, 201, 300):
-            with pytest.raises(ValueError, match="quadrature order"):
-                SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
-                            nonlinearity=nonlinearity, quadrature_order=order)
+    with pytest.raises(ValueError, match="experiment"):
+        SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                    experiment="mse")
+    with pytest.raises(ValueError, match="unknown builtin code"):
+        SweepConfig(snr_db_list=(6.0,), code="builtin:r12-n999", h_mode="iid:48x48")
     with pytest.raises(ValueError, match="master_seed"):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     master_seed=-1)
     for h_mode in ("bogus", "iid:0x128"):
         with pytest.raises(ValueError, match="mode"):
             SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode=h_mode)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--experiment", "mse-trace", "--snr-db", "5,6"],
+    ["--experiment", "mse-trace", "--early-stop"],
+    ["--code", "builtin:r12-n999"],
+])
+def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", ["ber", "mse-trace"])

@@ -36,7 +36,7 @@ def compute_outcomes():
     out = {}
     for h_mode, nonlinearity, snr_db in CASES:
         for seed in SEEDS:
-            scenario = build_scenario(code, h_mode, snr_db, nonlinearity, 50, seed)
+            scenario = build_scenario(code, h_mode, snr_db, nonlinearity, seed)
             truth = realize(scenario)
             for variant in Variant:
                 res = run_variant(variant, truth.y, scenario, OUTER_ITERS, BP_ITERS,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import combine
 from scvamp.messages import (
     DivergenceError,
     GaussianMessage,
     PosteriorSummary,
-    combine,
     extrinsic,
 )
 

@@ -20,7 +20,7 @@ def code128():
 
 
 def _trial(code, h_mode, snr_db, nonlinearity, seed):
-    scenario = build_scenario(code, h_mode, snr_db, nonlinearity, 50, seed)
+    scenario = build_scenario(code, h_mode, snr_db, nonlinearity, seed)
     return scenario, realize(scenario)
 
 
