@@ -25,7 +25,7 @@ def _parse_snr_list(text):
 
 
 def _parse_variants(text):
-    return tuple(Variant.from_name(name) for name in text.split(",") if name)
+    return tuple(Variant(name) for name in text.split(",") if name)
 
 
 def build_parser():
@@ -61,8 +61,6 @@ def build_parser():
                         help="worker processes for either experiment")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
-    parser.add_argument("--capacity-db", type=float, default=None,
-                        help="capacity estimate echoed into the CSV metadata")
     parser.add_argument("--early-stop", action="store_true",
                         help="stop a trial once decisions are stable with zero syndrome "
                              "(ber only)")
@@ -100,7 +98,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,12 +25,17 @@ def builtin_code_ids():
 
 
 def builtin_code_file(code_id):
-    """The packaged alist file name of a builtin id; ValueError on an unknown id."""
+    """The packaged alist file of a builtin id; ValueError on an unknown id."""
     if code_id not in BUILTIN_CODES:
         raise ValueError(f"unknown builtin code {code_id!r}; known: {builtin_code_ids()}")
-    return BUILTIN_CODES[code_id]
+    return resources.files(__package__).joinpath(BUILTIN_CODES[code_id])
+
+
+def builtin_code_length(code_id) -> int:
+    """Block length n of a builtin code, read from its alist header line alone."""
+    with builtin_code_file(code_id).open("r", encoding="ascii") as fh:
+        return int(fh.readline().split()[0])
 
 
 def load_builtin(code_id) -> LdpcCode:
-    text = resources.files(__package__).joinpath(builtin_code_file(code_id)).read_text("ascii")
-    return parse_alist(text)
+    return parse_alist(builtin_code_file(code_id).read_text("ascii"))

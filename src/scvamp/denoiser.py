@@ -71,14 +71,8 @@ class LdpcCode:
                 raise ValueError(f"check {idx} lists a variable twice")
             norm_checks.append(np.sort(arr))
         parity, perm, redundant = _gf2_systematize(n, norm_checks)
-        if any(c.size for c in norm_checks):
-            edge_var = np.concatenate([c for c in norm_checks if c.size])
-            edge_check = np.concatenate(
-                [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(norm_checks) if c.size]
-            )
-        else:
-            edge_var = np.empty(0, dtype=np.int64)
-            edge_check = np.empty(0, dtype=np.int64)
+        edge_var = np.concatenate([np.empty(0, np.int64), *norm_checks])
+        edge_check = np.repeat(np.arange(len(norm_checks)), [c.size for c in norm_checks])
         k = n - parity.shape[0]
         return cls(n, k, norm_checks, perm, redundant, parity, edge_var, edge_check)
 
@@ -151,8 +145,6 @@ def encode(code: LdpcCode, info_bits) -> np.ndarray:
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
     """Per-check parity of a candidate word (all zeros iff it is a codeword)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if code.num_edges == 0:
-        return np.zeros(code.num_checks, dtype=np.uint8)
     sums = np.bincount(code.edge_check, weights=bits[code.edge_var].astype(np.float64),
                        minlength=code.num_checks)
     return (sums.astype(np.int64) & 1).astype(np.uint8)
@@ -287,8 +279,6 @@ def bp_decode(code: LdpcCode, llr_in, iterations: int) -> np.ndarray:
     if llr.shape != (code.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={code.n}")
     ev, ec = code.edge_var, code.edge_check
-    if ev.size == 0:
-        return llr
     num_checks = code.num_checks
     c2v = np.zeros(ev.size)
 

@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import TrialScenario, gen_h, realize, substream
-from .codes import builtin_code_file, load_builtin
+from .codes import builtin_code_length, load_builtin
 from .denoiser import LdpcCode, load_alist
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
@@ -60,7 +60,6 @@ class SweepConfig:
     mse_trials: int = 50
     experiment: str = "ber"  # "ber" or "mse-trace"
     deterministic: bool = False
-    capacity_db: float | None = None
     early_stop: bool = False
 
     def __post_init__(self):
@@ -84,7 +83,7 @@ class SweepConfig:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         parse_h_mode(self.h_mode)
         if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
-            builtin_code_file(self.code.split(":", 1)[1])
+            fit_h_mode(self.h_mode, builtin_code_length(self.code.split(":", 1)[1]))
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("SNR points must not repeat")
@@ -141,6 +140,20 @@ def parse_h_mode(text):
     return (kind, *sizes)
 
 
+def fit_h_mode(h_mode, n):
+    """``(rows, cols, repeats)`` of the mixing matrix ``h_mode`` gives a length-n code.
+
+    ``iid:MxN`` is one M x N block and needs N = n; ``blockdiag:B`` repeats a
+    B x B block n / B times and needs B to divide n.  Anything else is a
+    ValueError.
+    """
+    kind, *sizes = parse_h_mode(h_mode)
+    rows, cols = sizes[0], sizes[-1]
+    if n % cols or (kind == "iid" and cols != n):
+        raise ValueError(f"H mode {h_mode!r} does not fit the code length {n}")
+    return rows, cols, n // cols
+
+
 def load_code(spec_text):
     """Resolve a code reference to (code, label) from builtin ids or a path."""
     if spec_text.startswith("builtin:"):
@@ -153,14 +166,9 @@ def load_code(spec_text):
 def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
     """Scenario for one (snr, seed) trial; H is redrawn per seed from its sub-stream.
 
-    ``iid:MxN`` is one M x N block and ``blockdiag:B`` repeats a B x B block
-    to fill the code length.
+    H has the shape :func:`fit_h_mode` gives ``h_mode`` for the code length.
     """
-    kind, *sizes = parse_h_mode(h_mode)
-    rows, cols = sizes[0], sizes[-1]
-    if code.n % cols or (kind == "iid" and cols != code.n):
-        raise ValueError(f"H mode {h_mode!r} does not fit the code length {code.n}")
-    mix = gen_h(rows, cols, code.n // cols, substream(seed, "H"))
+    mix = gen_h(*fit_h_mode(h_mode, code.n), substream(seed, "H"))
     return TrialScenario(code, mix, ChannelSpec.from_snr_db(snr_db, nonlinearity), int(seed))
 
 
@@ -322,12 +330,9 @@ def _atomic_write(path, text):
 
 
 def _metadata_lines(config):
-    lines = []
-    if not config.deterministic:
-        lines.append(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    if config.capacity_db is not None:
-        lines.append(f"# capacity_db={config.capacity_db:g}")
-    return lines
+    if config.deterministic:
+        return []
+    return [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
 
 
 def _write_ber_csv(config, code, code_label, points):

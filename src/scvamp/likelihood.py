@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -43,16 +43,17 @@ def _checked_order(order) -> int:
 class ChannelSpec:
     """Observation model: component-wise nonlinearity, noise variance, quadrature order.
 
-    ``nonlinearity`` is either a registered name (``"id"``, ``"tanh"``) or any
-    component-wise callable.  SNR is defined as ``1 / noise_variance``.
+    ``nonlinearity`` is a registered name, a key of ``NONLINEARITIES``
+    (``"id"``, ``"tanh"``); an unknown name raises ``ValueError``.  SNR is
+    defined as ``1 / noise_variance``.
     """
 
-    nonlinearity: Union[str, Callable] = "id"
+    nonlinearity: str = "id"
     noise_variance: float = 1.0
     quadrature_order: int = 50
 
     def __post_init__(self):
-        if isinstance(self.nonlinearity, str) and self.nonlinearity not in NONLINEARITIES:
+        if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(
                 f"unknown nonlinearity {self.nonlinearity!r}; "
                 f"known names: {sorted(NONLINEARITIES)}"
@@ -63,12 +64,10 @@ class ChannelSpec:
 
     @property
     def is_identity(self):
-        return isinstance(self.nonlinearity, str) and self.nonlinearity == "id"
+        return self.nonlinearity == "id"
 
     @property
     def f(self) -> Callable:
-        if callable(self.nonlinearity):
-            return self.nonlinearity
         return NONLINEARITIES[self.nonlinearity]
 
     @property

@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channel import Realization, TrialScenario, realize
+from .channel import Realization, TrialScenario
 from .coupling import coupling_posterior
 from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
 from .likelihood import likelihood_step
@@ -54,13 +54,6 @@ class Variant(str, Enum):
     SCVAMP2_MISMATCHED = "scvamp2-mismatched"
     NO_ONSAGER = "no-onsager"
     LLR_TURBO = "llr-turbo"
-
-    @classmethod
-    def from_name(cls, name):
-        for v in cls:
-            if v.value == name:
-                return v
-        raise ValueError(f"unknown variant {name!r}; known: {[v.value for v in cls]}")
 
 
 @dataclass(frozen=True)
@@ -126,19 +119,17 @@ def run_variant(
     bp_iters: int = 20,
     *,
     early_stop: bool = False,
-    truth: Realization | None = None,
+    truth: Realization,
 ) -> DecodeResult:
     """Run one receiver variant for ``outer_iters`` iterations on one frame.
 
-    ``truth`` defaults to re-drawing the transmit side from the scenario seed,
-    which is exactly what produced ``y`` in a simulation; it supplies the
-    transmitted symbols for the MSE trace and the codeword for error counts.
+    ``truth`` is required: the realization that produced ``y``, whose
+    transmitted symbols score the MSE trace and whose codeword scores the
+    bit errors.
     """
     if int(outer_iters) < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     policy = POLICIES[Variant(variant)]
-    if truth is None:
-        truth = realize(scenario)
     y = np.asarray(y, dtype=np.float64)
     code, mix, spec = scenario.code, scenario.h, scenario.spec
     n = code.n

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +65,13 @@ def test_every_flag_reaches_its_field(small_code_path, tmp_path):
         "--outer-iters", "7", "--bp-iters", "9", "--min-errors", "11", "--max-seeds", "13",
         "--error-unit", "frame", "--seed", "17", "--trials", "19",
         "--out", str(tmp_path / "o.csv"), "--workers", "3", "--deterministic",
-        "--capacity-db", "4.25",
     ])
     assert cfg == SweepConfig(
         snr_db_list=(7.5,), code=small_code_path, h_mode="blockdiag:16",
         variants=(Variant.NO_ONSAGER, Variant.LLR_TURBO), nonlinearity="tanh",
         outer_iters=7, bp_iters=9, min_errors=11, max_seeds=13, master_seed=17,
         output_path=str(tmp_path / "o.csv"), workers=3, error_unit="frame", mse_trials=19,
-        experiment="mse-trace", deterministic=True, capacity_db=4.25,
+        experiment="mse-trace", deterministic=True,
     )
     # mse-trace rejects --early-stop, so it is checked on a BER sweep
     assert parse_cli(_base_args(small_code_path, tmp_path / "o.csv")
@@ -83,6 +85,27 @@ def test_readme_flag_list_matches_parser():
     documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
     options = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert documented == options - {"-h", "--help"}
+
+
+def _run_module(*argv):
+    """``python -m scvamp`` with this checkout's ``src`` first on the import path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "scvamp", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point(tmp_path):
+    shown = _run_module("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: scvamp")
+    out = tmp_path / "o.csv"
+    unfit = _run_module("--snr-db", "6", "--code", "builtin:r12-n128", "--h", "iid:128x64",
+                        "--out", str(out))
+    assert unfit.returncode == 2
+    assert "does not fit the code length 128" in unfit.stderr
+    assert not out.exists()
 
 
 def test_missing_code_is_usage_error(tmp_path):
@@ -158,6 +181,8 @@ def test_sweep_config_validation(small_code_path):
                     experiment="mse")
     with pytest.raises(ValueError, match="unknown builtin code"):
         SweepConfig(snr_db_list=(6.0,), code="builtin:r12-n999", h_mode="iid:48x48")
+    with pytest.raises(ValueError, match="does not fit the code length 128"):
+        SweepConfig(snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="blockdiag:48")
     with pytest.raises(ValueError, match="master_seed"):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     master_seed=-1)
@@ -170,6 +195,10 @@ def test_sweep_config_validation(small_code_path):
     ["--experiment", "mse-trace", "--snr-db", "5,6"],
     ["--experiment", "mse-trace", "--early-stop"],
     ["--code", "builtin:r12-n999"],
+    # an --h that does not fit a builtin code's length is caught before the run
+    ["--code", "builtin:r12-n128", "--h", "iid:128x64"],
+    ["--code", "builtin:r12-n128", "--h", "blockdiag:48"],
+    ["--code", "builtin:r12-n128", "--h", "iid:64x64"],
 ])
 def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
@@ -234,17 +263,15 @@ def test_ber_csv_schema_and_rows(small_code_path, tmp_path):
         snr_db_list=(0.0, 2.0), code=small_code_path, h_mode="iid:48x48",
         variants=(Variant.SCVAMP3, Variant.NO_ONSAGER),
         min_errors=2, max_seeds=3, output_path=str(out), deterministic=True,
-        capacity_db=5.2,
     )
     ber_sweep(cfg)
     lines = out.read_text().splitlines()
-    assert lines[0] == "# capacity_db=5.2"
-    header = lines[1].split(",")
+    header = lines[0].split(",")
     assert header == ["snr_db", "variant", "code", "n", "k", "h_mode", "nonlinearity",
                       "frames", "bits", "bit_errors", "frame_errors", "diverged",
                       "ber", "fer", "seed_base"]
-    assert len(lines) == 2 + 2 * 2  # metadata + header + |snr| x |variants|
-    first = lines[2].split(",")
+    assert len(lines) == 1 + 2 * 2  # header + |snr| x |variants|
+    first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "scvamp3" and first[2] == "n48"
 
 

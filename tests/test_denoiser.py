@@ -208,6 +208,16 @@ def test_bp_requires_iterations():
         bp_decode(LdpcCode.from_checks(2, []), np.zeros(2), 0)
 
 
+def test_codes_with_empty_edge_lists():
+    code = LdpcCode.from_checks(4, [[], [0, 1], []])
+    np.testing.assert_array_equal(code.edge_var, [0, 1])
+    np.testing.assert_array_equal(code.edge_check, [1, 1])
+    np.testing.assert_array_equal(syndrome(code, [1, 0, 0, 0]), [0, 1, 0])
+    uncoded = LdpcCode.from_checks(3, [])
+    assert syndrome(uncoded, [1, 0, 1]).shape == (0,)
+    np.testing.assert_array_equal(bp_decode(uncoded, [40.0, -0.5, 0.0], 5), [30.0, -0.5, 0.0])
+
+
 def test_bp_parity_valid_after_successful_decode(hamming74):
     rng = np.random.default_rng(7)
     word = encode(hamming74, rng.integers(0, 2, 4, dtype=np.uint8))

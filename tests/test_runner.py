@@ -25,10 +25,10 @@ def _trial(code, h_mode, snr_db, nonlinearity, seed):
 
 
 def test_variant_names():
-    assert Variant.from_name("scvamp3") is Variant.SCVAMP3
-    assert Variant.from_name("llr-turbo") is Variant.LLR_TURBO
+    assert Variant("scvamp3") is Variant.SCVAMP3
+    assert Variant("llr-turbo") is Variant.LLR_TURBO
     with pytest.raises(ValueError):
-        Variant.from_name("scvamp4")
+        Variant("scvamp4")
 
 
 def test_hard_decision_tie_breaks_positive():
