@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .codes import builtin_code_ids
@@ -17,47 +18,42 @@ def _parse_snr_list(text):
         if len(parts) != 3:
             raise ValueError(f"malformed range {text!r}, expected a:b:step")
         a, b, step = (float(p) for p in parts)
-        if step <= 0 or b < a:
-            raise ValueError(f"malformed range {text!r}: need step > 0 and b >= a")
+        if not (all(map(math.isfinite, (a, b, step))) and step > 0 and b >= a):
+            raise ValueError(f"malformed range {text!r}: must be finite, a <= b, step > 0")
         count = int(round((b - a) / step)) + 1
         return tuple(a + i * step for i in range(count) if a + i * step <= b + 1e-9)
     return tuple(float(p) for p in text.split(",") if p)
 
 
-def _parse_variants(text):
-    return tuple(Variant(name) for name in text.split(",") if name)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="scvamp",
+        argument_default=argparse.SUPPRESS,  # a flag not given takes SweepConfig's default
         description=(
             "Monte Carlo experiments for the three-stage VAMP receiver on "
             "LDPC-coded (non)linear channels"
         ),
     )
-    parser.add_argument("--experiment", choices=("ber", "mse-trace"), default="ber")
+    parser.add_argument("--experiment", help="ber or mse-trace")
     parser.add_argument("--snr-db", dest="snr_db_list", required=True,
                         help="comma list or inclusive range a:b:step, in dB")
-    parser.add_argument("--variant", dest="variants", default="scvamp3",
+    parser.add_argument("--variant", dest="variants",
                         help="comma list of: " + ",".join(v.value for v in Variant))
     parser.add_argument("--code", required=True,
                         help="alist path or builtin:<id>; builtins: "
                              + ", ".join(builtin_code_ids()))
     parser.add_argument("--h", dest="h_mode", required=True,
                         help="channel matrix mode: iid:MxN or blockdiag:B")
-    parser.add_argument("--nonlinearity", default="id",
+    parser.add_argument("--nonlinearity",
                         help="name of the component-wise f in y = f(Hx) + z")
-    parser.add_argument("--outer-iters", type=int, default=20)
-    parser.add_argument("--bp-iters", type=int, default=20)
-    parser.add_argument("--min-errors", type=int, default=500)
-    parser.add_argument("--max-seeds", type=int, default=2000)
-    parser.add_argument("--error-unit", choices=("bit", "frame"), default="bit")
-    parser.add_argument("--seed", dest="master_seed", type=int, default=0)
-    parser.add_argument("--trials", dest="mse_trials", type=int, default=50,
-                        help="trial count for the mse-trace experiment")
+    parser.add_argument("--outer-iters", type=int)
+    parser.add_argument("--bp-iters", type=int)
+    parser.add_argument("--min-errors", type=int)
+    parser.add_argument("--max-seeds", type=int, help="BER seed cap; mse-trace trial count")
+    parser.add_argument("--error-unit", help="bit or frame: what --min-errors counts")
+    parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--out", dest="output_path", required=True, help="output CSV path")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=int,
                         help="worker processes for either experiment")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
@@ -68,13 +64,17 @@ def build_parser():
 
 
 def parse_cli(argv=None) -> SweepConfig:
-    """Map the flags onto ``SweepConfig`` by name: each ``dest`` is a field."""
+    """Map the flags onto ``SweepConfig`` by name: each ``dest`` is a field.
+
+    A flag not given takes the field's default; an invalid value exits 2.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    fields = vars(parser.parse_args(argv))
     try:
-        args.snr_db_list = _parse_snr_list(args.snr_db_list)
-        args.variants = _parse_variants(args.variants)
-        return SweepConfig(**vars(args))
+        fields["snr_db_list"] = _parse_snr_list(fields["snr_db_list"])
+        if "variants" in fields:
+            fields["variants"] = tuple(name for name in fields["variants"].split(",") if name)
+        return SweepConfig(**fields)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -5,13 +5,13 @@ seed alone and only the noise on the SNR, so every variant at every SNR point
 of one seed consumes the same H: it is drawn and decomposed once per seed and
 reused for every SNR point.  Seeds count ``master_seed, master_seed+1, ...``
 per SNR point.  In a BER sweep each (snr, variant) pair keeps drawing seeds in
-order until it has collected ``min_errors`` errors or the seed cap binds; an
-MSE trace runs a fixed number of seeds at one SNR.  Both experiments dispatch
-work seed-major to an optional process pool in fixed-size seed blocks, each
-seed running every pair still active when its block was dispatched, but
-results are always consumed strictly in seed order, so the output is
-byte-identical at any worker count (results computed past a pair's stopping
-seed are discarded).
+order until it has collected ``min_errors`` errors or ``max_seeds`` seeds
+ran; an MSE trace runs ``max_seeds`` seeds at one SNR.  Both experiments
+dispatch work seed-major to an optional process pool in fixed-size seed
+blocks, each seed running every pair still active when its block was
+dispatched, but results are always consumed strictly in seed order, so the
+output is byte-identical at any worker count (results computed past a pair's
+stopping seed are discarded).
 
 CSV schemas (one header line, optional '#' metadata comments above it):
 
@@ -26,7 +26,6 @@ import multiprocessing
 import os
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
@@ -52,12 +51,11 @@ class SweepConfig:
     outer_iters: int = 20
     bp_iters: int = 20
     min_errors: int = 500
-    max_seeds: int = 2000
+    max_seeds: int = 2000  # seed cap of a BER point; an MSE trace runs exactly this many
     master_seed: int = 0
     output_path: str | None = None
     workers: int = 1
     error_unit: str = "bit"
-    mse_trials: int = 50
     experiment: str = "ber"  # "ber" or "mse-trace"
     deterministic: bool = False
     early_stop: bool = False
@@ -65,7 +63,7 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_db_list:
             raise ValueError("snr_db_list must not be empty")
-        for name in ("min_errors", "max_seeds", "outer_iters", "bp_iters", "mse_trials"):
+        for name in ("min_errors", "max_seeds", "outer_iters", "bp_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.error_unit not in ("bit", "frame"):
@@ -81,6 +79,11 @@ class SweepConfig:
             raise ValueError("workers must be at least 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if self.output_path is not None:  # fail now, not after the last frame
+            if os.path.isdir(self.output_path):
+                raise ValueError(f"output path {self.output_path!r} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(self.output_path))):
+                raise ValueError(f"the directory of {self.output_path!r} does not exist")
         parse_h_mode(self.h_mode)
         if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
             fit_h_mode(self.h_mode, builtin_code_length(self.code.split(":", 1)[1]))
@@ -174,32 +177,13 @@ def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
 
 # -- worker plumbing ---------------------------------------------------------
 
+# code and config reach each worker once, at start-up, not pickled into every task
 _POOL_STATE: dict = {}
 
 
 def _pool_init(code, config):
     _POOL_STATE["code"] = code
     _POOL_STATE["config"] = config
-
-
-@contextmanager
-def _worker_pool(code, config):
-    """A spawned process pool for ``config.workers > 1``, otherwise ``None``.
-
-    A dispatch block holds at most ``_BLOCK_SIZE`` seeds, so no more processes
-    than that are started.
-    """
-    if config.workers == 1:
-        yield None
-        return
-    pool = multiprocessing.get_context("spawn").Pool(
-        min(config.workers, _BLOCK_SIZE), initializer=_pool_init, initargs=(code, config)
-    )
-    try:
-        yield pool
-    finally:
-        pool.close()
-        pool.join()
 
 
 def _seed_outcomes(code, config, seed, work):
@@ -227,29 +211,40 @@ def _pool_task(args):
     return _seed_outcomes(_POOL_STATE["code"], _POOL_STATE["config"], seed, work)
 
 
-def _iterate_blocks(pool, code, config, seed_count, consume):
+def _iterate_blocks(code, config, consume):
     """Dispatch seeds in fixed blocks; ``consume(seed, outcomes) -> still_active``.
 
     The active set holds the ``(snr, variant)`` pairs still drawing seeds, and
     every seed of a block runs the pairs active when the block is dispatched.
     ``consume`` is called strictly in seed order and returns the pairs that
-    remain active; dispatching stops once none are or ``seed_count`` seeds ran.
+    remain active; dispatching stops once none are or ``config.max_seeds``
+    seeds ran.  With ``config.workers > 1`` the blocks run on a spawned pool
+    that lives for this call; a block holds at most ``_BLOCK_SIZE`` seeds, so
+    no more processes than that are started.
     """
-    active = config.pairs
-    next_seed = 0
-    while active and next_seed < seed_count:
-        block = range(next_seed, min(next_seed + _BLOCK_SIZE, seed_count))
-        work = tuple(active)
-        tasks = [(config.master_seed + s, work) for s in block]
-        if pool is None:
-            results = [_seed_outcomes(code, config, *task) for task in tasks]
-        else:
-            results = pool.map(_pool_task, tasks)
-        for seed, outcomes in zip(block, results):
-            active = consume(seed, outcomes)
-            if not active:
-                break
-        next_seed = block.stop
+    pool = multiprocessing.get_context("spawn").Pool(
+        min(config.workers, _BLOCK_SIZE), initializer=_pool_init, initargs=(code, config)
+    ) if config.workers > 1 else None
+    try:
+        active = config.pairs
+        next_seed = 0
+        while active and next_seed < config.max_seeds:
+            block = range(next_seed, min(next_seed + _BLOCK_SIZE, config.max_seeds))
+            work = tuple(active)
+            tasks = [(config.master_seed + s, work) for s in block]
+            if pool is None:
+                results = [_seed_outcomes(code, config, *task) for task in tasks]
+            else:
+                results = pool.map(_pool_task, tasks)
+            for seed, outcomes in zip(block, results):
+                active = consume(seed, outcomes)
+                if not active:
+                    break
+            next_seed = block.stop
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
 
 
 def ber_sweep(config: SweepConfig):
@@ -275,8 +270,7 @@ def ber_sweep(config: SweepConfig):
                 still.append(pair)
         return still
 
-    with _worker_pool(code, config) as pool:
-        _iterate_blocks(pool, code, config, config.max_seeds, consume)
+    _iterate_blocks(code, config, consume)
     points = list(tallies.values())
 
     if config.output_path:
@@ -285,7 +279,7 @@ def ber_sweep(config: SweepConfig):
 
 
 def mse_trace_experiment(config: SweepConfig):
-    """Per-iteration mean/median MSE across a fixed trial count at one SNR.
+    """Per-iteration mean/median MSE across ``max_seeds`` trials at one SNR.
 
     Iteration 0 is the initialization (zero estimate), whose MSE is exactly 1
     for BPSK.  Every trial runs all ``outer_iters`` iterations unless it
@@ -297,7 +291,7 @@ def mse_trace_experiment(config: SweepConfig):
     config = replace(config, experiment="mse-trace")  # re-validates the mse-trace rules
     code, _ = load_code(config.code)
     iters = config.outer_iters
-    per_variant = {v: np.full((config.mse_trials, iters + 1), np.nan) for v in config.variants}
+    per_variant = {v: np.full((config.max_seeds, iters + 1), np.nan) for v in config.variants}
 
     def consume(seed, outcomes):
         for (_, variant), (_, _, mse) in outcomes.items():
@@ -306,8 +300,7 @@ def mse_trace_experiment(config: SweepConfig):
             per_variant[variant][seed, 1:1 + mse.shape[0]] = mse
         return list(outcomes)
 
-    with _worker_pool(code, config) as pool:
-        _iterate_blocks(pool, code, config, config.mse_trials, consume)
+    _iterate_blocks(code, config, consume)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a column no trial reached is nan
@@ -357,7 +350,7 @@ def _write_mse_csv(config, summary):
     for variant, (mean, median, diverged) in summary.items():
         for it in range(mean.shape[0]):
             lines.append(
-                f"{it},{variant.value},{mean[it]:.10e},{median[it]:.10e},{config.mse_trials},"
+                f"{it},{variant.value},{mean[it]:.10e},{median[it]:.10e},{config.max_seeds},"
                 f"{diverged[it]}"
             )
     _atomic_write(config.output_path, "\n".join(lines) + "\n")

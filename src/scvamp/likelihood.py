@@ -75,8 +75,8 @@ class ChannelSpec:
         return -10.0 * np.log10(self.noise_variance)
 
     @classmethod
-    def from_snr_db(cls, snr_db, nonlinearity="id", quadrature_order=50):
-        return cls(nonlinearity, 10.0 ** (-float(snr_db) / 10.0), quadrature_order)
+    def from_snr_db(cls, snr_db, nonlinearity):
+        return cls(nonlinearity, 10.0 ** (-float(snr_db) / 10.0))
 
 
 @dataclass(frozen=True)

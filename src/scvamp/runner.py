@@ -55,6 +55,10 @@ class Variant(str, Enum):
     NO_ONSAGER = "no-onsager"
     LLR_TURBO = "llr-turbo"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown variant {value!r}; known names: {', '.join(cls)}")
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -115,8 +119,8 @@ def run_variant(
     variant: Variant,
     y,
     scenario: TrialScenario,
-    outer_iters: int = 20,
-    bp_iters: int = 20,
+    outer_iters: int,
+    bp_iters: int,
     *,
     early_stop: bool = False,
     truth: Realization,

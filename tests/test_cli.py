@@ -56,6 +56,9 @@ def test_parse_defaults_are_paper_scale(small_code_path, tmp_path):
     assert cfg.min_errors == 500 and cfg.max_seeds == 2000
     assert cfg.outer_iters == 20 and cfg.bp_iters == 20
     assert cfg.error_unit == "bit"
+    # every flag left out takes SweepConfig's own default
+    assert cfg == SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                              output_path=str(tmp_path / "o.csv"))
 
 
 def test_every_flag_reaches_its_field(small_code_path, tmp_path):
@@ -63,14 +66,14 @@ def test_every_flag_reaches_its_field(small_code_path, tmp_path):
         "--experiment", "mse-trace", "--snr-db", "7.5", "--variant", "no-onsager,llr-turbo",
         "--code", small_code_path, "--h", "blockdiag:16", "--nonlinearity", "tanh",
         "--outer-iters", "7", "--bp-iters", "9", "--min-errors", "11", "--max-seeds", "13",
-        "--error-unit", "frame", "--seed", "17", "--trials", "19",
+        "--error-unit", "frame", "--seed", "17",
         "--out", str(tmp_path / "o.csv"), "--workers", "3", "--deterministic",
     ])
     assert cfg == SweepConfig(
         snr_db_list=(7.5,), code=small_code_path, h_mode="blockdiag:16",
         variants=(Variant.NO_ONSAGER, Variant.LLR_TURBO), nonlinearity="tanh",
         outer_iters=7, bp_iters=9, min_errors=11, max_seeds=13, master_seed=17,
-        output_path=str(tmp_path / "o.csv"), workers=3, error_unit="frame", mse_trials=19,
+        output_path=str(tmp_path / "o.csv"), workers=3, error_unit="frame",
         experiment="mse-trace", deterministic=True,
     )
     # mse-trace rejects --early-stop, so it is checked on a BER sweep
@@ -120,15 +123,20 @@ def test_unknown_flag_is_usage_error(small_code_path, tmp_path):
     assert err.value.code == 2
 
 
-def test_bad_variant_is_usage_error(small_code_path, tmp_path):
+def test_bad_variant_is_usage_error(small_code_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         parse_cli(_base_args(small_code_path, tmp_path / "o.csv")
                   + ["--variant", "scvamp9"])
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "'scvamp9'" in stderr
+    assert all(v.value in stderr for v in Variant)
 
 
 @pytest.mark.parametrize("flags", [["--snr-db", "6,6"], ["--snr-db", "6,6.0"],
-                                   ["--variant", "scvamp3,llr-turbo,scvamp3"]])
+                                   ["--variant", "scvamp3,llr-turbo,scvamp3"],
+                                   # a non-finite range bound or step
+                                   ["--snr-db", "3:inf:1"], ["--snr-db", "3:9:inf"]])
 def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
@@ -166,7 +174,7 @@ def test_sweep_config_validation(small_code_path):
     for snr_db_list in ((6.0, 6.0), (4, 6, 6.0)):
         with pytest.raises(ValueError, match="SNR points must not repeat"):
             SweepConfig(snr_db_list=snr_db_list, code=small_code_path, h_mode="iid:48x48")
-    for field in ("outer_iters", "bp_iters", "mse_trials"):
+    for field in ("outer_iters", "bp_iters", "max_seeds"):
         with pytest.raises(ValueError, match=field):
             SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                         **{field: 0})
@@ -207,6 +215,16 @@ def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("out", ["missing/o.csv", "existing-dir"])
+def test_bad_out_is_usage_error(small_code_path, tmp_path, out):
+    # caught before the run, so a long sweep cannot lose its result at the end
+    (tmp_path / "existing-dir").mkdir()
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, tmp_path / out))
+    assert err.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]  # no CSV, no .tmp
+
+
 @pytest.mark.parametrize("experiment", ["ber", "mse-trace"])
 def test_negative_seed_is_usage_error(small_code_path, tmp_path, experiment):
     with pytest.raises(SystemExit) as err:
@@ -216,7 +234,7 @@ def test_negative_seed_is_usage_error(small_code_path, tmp_path, experiment):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--outer-iters", "--bp-iters"])
+@pytest.mark.parametrize("flag", ["--max-seeds", "--outer-iters", "--bp-iters"])
 def test_zero_count_is_usage_error(small_code_path, tmp_path, flag):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv")
@@ -280,7 +298,7 @@ def test_csv_deterministic_across_worker_counts(small_code_path, tmp_path):
                min_errors=3, max_seeds=5)
     # 18 trials span two dispatch blocks
     mse = dict(snr_db_list=(3.0,), variants=(Variant.SCVAMP3, Variant.NO_ONSAGER),
-               outer_iters=8, mse_trials=18, experiment="mse-trace")
+               outer_iters=8, max_seeds=18, experiment="mse-trace")
     for run, fields in ((ber_sweep, ber), (mse_trace_experiment, mse)):
         outs = []
         for workers, name in [(1, "a.csv"), (2, "b.csv"), (1, "c.csv")]:
@@ -297,7 +315,7 @@ def test_mse_trace_experiment(small_code_path, tmp_path):
     cfg = SweepConfig(
         snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
         variants=(Variant.SCVAMP3,), outer_iters=5, bp_iters=5,
-        mse_trials=4, output_path=str(out), deterministic=True,
+        max_seeds=4, output_path=str(out), deterministic=True,
         experiment="mse-trace",
     )
     summary = mse_trace_experiment(cfg)
@@ -330,7 +348,7 @@ def test_mse_trace_leaves_out_diverged_iterations(small_code_path, tmp_path, mon
     out = tmp_path / "mse.csv"
     cfg = SweepConfig(
         snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
-        variants=(Variant.SCVAMP3, Variant.LLR_TURBO), outer_iters=4, mse_trials=3,
+        variants=(Variant.SCVAMP3, Variant.LLR_TURBO), outer_iters=4, max_seeds=3,
         output_path=str(out), deterministic=True, experiment="mse-trace",
     )
     summary = mse_trace_experiment(cfg)
@@ -363,7 +381,7 @@ def test_mse_trace_rejects_early_stop(small_code_path):
 def test_mse_trace_levels_at_six_db():
     cfg = SweepConfig(
         snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="iid:128x128",
-        variants=(Variant.SCVAMP3, Variant.NO_ONSAGER), mse_trials=10,
+        variants=(Variant.SCVAMP3, Variant.NO_ONSAGER), max_seeds=10,
     )
     summary = mse_trace_experiment(cfg)
     _, median_full, _ = summary[Variant.SCVAMP3]
@@ -395,7 +413,7 @@ def test_main_end_to_end_ber(small_code_path, tmp_path, capsys):
 def test_main_end_to_end_mse_trace(small_code_path, tmp_path):
     out = tmp_path / "cli_mse.csv"
     rc = main(["--experiment", "mse-trace", "--snr-db", "6", "--code", small_code_path,
-               "--h", "iid:48x48", "--trials", "3", "--outer-iters", "4",
+               "--h", "iid:48x48", "--max-seeds", "3", "--outer-iters", "4",
                "--bp-iters", "4", "--out", str(out), "--deterministic"])
     assert rc == 0
     assert out.exists()

@@ -76,7 +76,7 @@ def test_mse_trace_builds_once_per_trial(monkeypatch):
     calls = _count_builds(monkeypatch)
     mse_trace_experiment(SweepConfig(
         snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="iid:96x128",
-        variants=("scvamp3", "no-onsager"), outer_iters=3, bp_iters=3, mse_trials=4,
+        variants=("scvamp3", "no-onsager"), outer_iters=3, bp_iters=3, max_seeds=4,
         experiment="mse-trace",
     ))
     assert calls == {"build_scenario": 4, "precompute": 4}
