@@ -12,6 +12,20 @@ Sign convention throughout: bit 0 maps to symbol +1, so positive LLR means
 "bit 0 / symbol +1".  LLRs are saturated at ``LLR_MAX`` on input and the check
 update clips ``|tanh|`` away from 1, which keeps every message finite without
 touching the error-rate floor at the SNRs of interest.
+
+The decoder works on a slot layout that ``LdpcCode.from_checks`` builds once
+per code.  Check-to-variable messages are a ``(d_c_max, m)`` array whose
+column ``i`` holds check ``i``'s edges in edge order, padded at the bottom;
+``var_slots`` is a ``(d_v_max, n)`` array of the flat slots of each
+variable's edges in edge order, whose pads read a 0.0 sentinel.  An iteration
+is one gather and one axis-0 sum for the variable totals, one gather for the
+variable-to-check messages, and axis-0 sums of log-magnitudes and products of
+signs per check.  The results are bit-identical to a ``bincount`` over the
+flat edge list: numpy adds the rows of a C-contiguous array in order when it
+sums along axis 0 (both layouts are kept at least two columns wide, because a
+single column is summed pairwise), which is the order in which ``bincount``
+adds the edges, and a padded slot adds exactly +0.0 to its check's sum and +1
+to its sign product.
 """
 
 from __future__ import annotations
@@ -58,6 +72,9 @@ class LdpcCode:
     parity_matrix: np.ndarray = field(repr=False)  # (n - k, k) over GF(2)
     edge_var: np.ndarray = field(repr=False)
     edge_check: np.ndarray = field(repr=False)
+    slot_var: np.ndarray = field(repr=False)  # (d_c_max, max(m, 2)), see _slot_layout
+    var_slots: np.ndarray = field(repr=False)  # (d_v_max, max(n, 2))
+    pad_slots: np.ndarray = field(repr=False)  # flat indices of the padded check slots
 
     @classmethod
     def from_checks(cls, n, checks):
@@ -70,11 +87,14 @@ class LdpcCode:
             if arr.size != np.unique(arr).size:
                 raise ValueError(f"check {idx} lists a variable twice")
             norm_checks.append(np.sort(arr))
-        parity, perm, redundant = _gf2_systematize(n, norm_checks)
         edge_var = np.concatenate([np.empty(0, np.int64), *norm_checks])
         edge_check = np.repeat(np.arange(len(norm_checks)), [c.size for c in norm_checks])
+        # laid out before the elimination's large temporaries, so that these
+        # long-lived arrays do not pin the top of the heap (1.5 MB of peak RSS)
+        layout = _slot_layout(n, norm_checks, edge_var, edge_check)
+        parity, perm, redundant = _gf2_systematize(n, norm_checks)
         k = n - parity.shape[0]
-        return cls(n, k, norm_checks, perm, redundant, parity, edge_var, edge_check)
+        return cls(n, k, norm_checks, perm, redundant, parity, edge_var, edge_check, *layout)
 
     @property
     def num_checks(self):
@@ -83,6 +103,36 @@ class LdpcCode:
     @property
     def num_edges(self):
         return self.edge_var.size
+
+
+def _slot_layout(n, checks, edge_var, edge_check):
+    """The check-slot and variable-slot index arrays ``bp_decode`` gathers with.
+
+    Slot ``(s, i)`` holds the edge from check ``i`` to its s-th variable;
+    ``slot_var`` names that variable, or in a padded slot the index one past
+    the variables (the +inf sentinel after the totals).  Column ``j`` of
+    ``var_slots`` lists the flat check slots of variable ``j``'s edges in
+    edge order, padded with the index one past the last slot (the 0.0
+    sentinel after the messages).  Both layouts are at least two columns
+    wide: numpy sums a single column pairwise, which would reorder the sums.
+    """
+    m_cols, n_cols = max(len(checks), 2), max(n, 2)
+    check_rank, d_c = _rank_in_group(edge_check, len(checks))
+    var_rank, d_v = _rank_in_group(edge_var, n)
+    slot_var = np.full((d_c, m_cols), n_cols, dtype=np.intp)
+    slot_var[check_rank, edge_check] = edge_var
+    var_slots = np.full((d_v, n_cols), slot_var.size, dtype=np.intp)
+    var_slots[var_rank, edge_var] = check_rank * m_cols + edge_check
+    return slot_var, var_slots, np.flatnonzero(slot_var == n_cols)
+
+
+def _rank_in_group(groups, num_groups):
+    """Each edge's index among the edges of its group, in edge order; the largest group."""
+    order = np.argsort(groups, kind="stable")
+    sizes = np.bincount(groups, minlength=num_groups)
+    rank = np.empty_like(groups)
+    rank[order] = np.arange(groups.size) - (np.cumsum(sizes) - sizes)[groups[order]]
+    return rank, int(sizes.max(initial=0))
 
 
 def _gf2_systematize(n, checks):
@@ -271,39 +321,62 @@ def bp_decode(code: LdpcCode, llr_in, iterations: int) -> np.ndarray:
     Check updates use the tanh product rule, evaluated through sign and
     log-magnitude sums per check so that exact-zero messages and near-one
     magnitudes are handled without division.  The schedule is deterministic
-    and the decoder holds no state between calls.
+    and the decoder holds no state between calls.  Messages live in the
+    code's check-slot layout (see the module docstring); a check with an
+    exact-zero message is rare, so its mask is built only when one occurs.
     """
     if int(iterations) < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     llr = np.clip(np.asarray(llr_in, dtype=np.float64), -LLR_MAX, LLR_MAX)
     if llr.shape != (code.n,):
         raise ValueError(f"LLR length {llr.shape} does not match n={code.n}")
-    ev, ec = code.edge_var, code.edge_check
-    num_checks = code.num_checks
-    c2v = np.zeros(ev.size)
+    slot_var, var_slots, n = code.slot_var, code.var_slots, code.n
+    # c2v in check-slot order, then the 0.0 that var-side pads read
+    c2v_flat = np.zeros(slot_var.size + 1)
+    c2v = c2v_flat[:-1].reshape(slot_var.shape)
+    # per-variable totals, then the +inf that check-side pads read: a pad's
+    # v2c is +inf, so its tanh is 1 and its sign +1
+    totals = np.empty(var_slots.shape[1] + 1)
+    totals[-1] = np.inf
+    gathered = np.empty(var_slots.shape)
+    work = np.empty(slot_var.shape)
+    sign = np.empty(slot_var.shape)
 
-    for _ in range(int(iterations)):
-        totals = llr + np.bincount(ev, weights=c2v, minlength=code.n)
-        v2c = totals[ev] - c2v
-        t = np.tanh(0.5 * v2c)
-        zero = t == 0.0
-        mag = np.minimum(np.abs(t), _TANH_CLIP)
-        logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
-        neg = t < 0.0
+    with np.errstate(divide="ignore"):  # log(0) = -inf marks an exact-zero message
+        for _ in range(int(iterations)):
+            np.take(c2v_flat, var_slots, out=gathered)
+            np.add.reduce(gathered, axis=0, initial=0.0, out=totals[:-1])
+            np.add(llr, totals[:n], out=totals[:n])
+            v2c = np.take(totals, slot_var, out=work)
+            v2c -= c2v
+            v2c *= 0.5
+            t = np.tanh(v2c, out=work)
+            np.copysign(1.0, t, out=sign)
+            logmag = np.abs(t, out=work)
+            np.minimum(logmag, _TANH_CLIP, out=logmag)
+            np.log(logmag, out=logmag)  # -inf exactly where t == 0
+            logmag.flat[code.pad_slots] = 0.0
+            sum_log = np.add.reduce(logmag, axis=0, initial=0.0)
+            dead = None
+            if (sum_log == -np.inf).any():
+                zero = logmag == -np.inf
+                logmag[zero] = 0.0
+                sum_log = np.add.reduce(logmag, axis=0, initial=0.0)
+                # a check with one zero sends zero on every other edge; with two, on all
+                zeros = np.add.reduce(zero, axis=0)
+                dead = (zeros > 1) | ((zeros == 1) & ~zero)
 
-        sum_log = np.bincount(ec, weights=logmag, minlength=num_checks)
-        n_neg = np.bincount(ec, weights=neg.astype(np.float64), minlength=num_checks)
-        n_zero = np.bincount(ec, weights=zero.astype(np.float64), minlength=num_checks)
+            sign *= np.multiply.reduce(sign, axis=0)  # the sign over the other edges
+            excl = np.subtract(sum_log, logmag, out=work)
+            np.exp(excl, out=excl)
+            np.minimum(excl, _TANH_CLIP, out=excl)
+            excl *= sign
+            np.arctanh(excl, out=c2v)
+            c2v *= 2.0
+            if dead is not None:
+                c2v[dead] = 0.0
 
-        zc = n_zero[ec]
-        excl_log = sum_log[ec] - logmag
-        excl_neg = n_neg[ec] - neg
-        live = (zc == 0) | ((zc == 1) & zero)
-        sign = 1.0 - 2.0 * (excl_neg.astype(np.int64) & 1)
-        prod = sign * np.minimum(np.exp(excl_log), _TANH_CLIP)
-        c2v = np.where(live, 2.0 * np.arctanh(prod), 0.0)
-
-    return llr + np.bincount(ev, weights=c2v, minlength=code.n)
+    return llr + np.add.reduce(c2v_flat[var_slots], axis=0, initial=0.0)[:n]
 
 
 def llr_from_pseudo(rx: GaussianMessage) -> np.ndarray:

@@ -93,6 +93,8 @@ class SweepConfig:
         object.__setattr__(
             self, "variants", tuple(Variant(v) for v in self.variants)
         )
+        if not self.variants:
+            raise ValueError("variants must not be empty")
         if len(set(self.variants)) != len(self.variants):
             raise ValueError("variants must not repeat")
         # fail now, not after the first H build, on a bad SNR or nonlinearity

@@ -12,6 +12,14 @@ then recentred twice on the running moment estimates, with all factors
 accumulated in the log domain so high-SNR sweeps do not underflow.  The
 identity nonlinearity short-circuits to the conjugate closed form, in which
 case the extrinsic output is exactly ``(y, sigma2)``.
+
+The quadrature walks the components in blocks of ``_BLOCK_ROWS`` rows and
+works in place on preallocated ``(rows, Q)`` buffers, which stay in cache.
+The results are bit-identical to evaluating all M rows at once: every
+reduction runs along one row's Q nodes, so a row's sums do not depend on the
+block it falls in, and each in-place step performs the same floating-point
+operation as the expression it replaces (``sqrt(2 s) t + center`` is
+``center + sqrt(2 s) t``, and ``(q w) w`` reuses ``q w``).
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ def gh_rule(order: int) -> QuadratureRule:
 
 
 _ADAPT_PASSES = 3
+_BLOCK_ROWS = 512  # components per block: a block's buffers stay in cache
 
 
 def _quadrature_moments(r, v, y, f, sigma2, rule):
@@ -113,28 +122,50 @@ def _quadrature_moments(r, v, y, f, sigma2, rule):
     ``fallback`` marks components whose normalizer underflowed (or went
     non-finite); those freeze at the prior moments ``(r, r^2 + v)`` and get
     ``log_z = -inf``.
+
+    Components are processed ``_BLOCK_ROWS`` at a time (see the module
+    docstring for why the blocking moves no bit).
     """
-    t = rule.nodes[None, :]
-    log_u = np.log(rule.weights)[None, :]
+    t = rule.nodes
+    base = np.log(rule.weights) + t * t
+    m1, m2, log_z = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    bad = np.empty(r.shape, dtype=bool)
+    shape = (min(r.size, _BLOCK_ROWS), t.size)
+    buffers = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo in range(0, r.size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        k = r[rows].size
+        m1[rows], m2[rows], log_z[rows], bad[rows] = _block_moments(
+            r[rows], v, y[rows], f, sigma2, t, base, *(b[:k] for b in buffers)
+        )
+    return m1, m2, log_z, bad
+
+
+def _block_moments(r, v, y, f, sigma2, t, base, w, log_terms, qw):
+    """``_quadrature_moments`` on one block of rows, in place on ``(rows, Q)`` buffers."""
     center = r
     scale = np.full_like(r, v)
     bad = np.zeros(r.shape, dtype=bool)
-    m1 = r.copy()
-    m2 = r * r + v
     for _ in range(_ADAPT_PASSES):
-        w = center[:, None] + np.sqrt(2.0 * scale)[:, None] * t
-        resid = y[:, None] - f(w)
-        log_terms = (
-            log_u + t * t
-            - (w - r[:, None]) ** 2 / (2.0 * v)
-            - resid * resid / (2.0 * sigma2)
-        )
-        top = np.max(log_terms, axis=1, keepdims=True)
-        ok_top = np.isfinite(top[:, 0])
-        q = np.exp(log_terms - np.where(np.isfinite(top), top, 0.0))
+        np.multiply(np.sqrt(2.0 * scale)[:, None], t, out=w)
+        w += center[:, None]
+        np.subtract(w, r[:, None], out=log_terms)
+        log_terms *= log_terms
+        log_terms /= 2.0 * v
+        np.subtract(base, log_terms, out=log_terms)
+        resid = np.subtract(y[:, None], f(w), out=qw)
+        resid *= resid
+        resid /= 2.0 * sigma2
+        log_terms -= resid
+        top = np.max(log_terms, axis=1)
+        ok_top = np.isfinite(top)
+        log_terms -= np.where(ok_top, top, 0.0)[:, None]
+        q = np.exp(log_terms, out=log_terms)
         z0 = q.sum(axis=1)
-        z1 = (q * w).sum(axis=1)
-        z2 = (q * w * w).sum(axis=1)
+        np.multiply(q, w, out=qw)
+        z1 = qw.sum(axis=1)
+        qw *= w
+        z2 = qw.sum(axis=1)
         good = ok_top & np.isfinite(z0) & (z0 > 0.0) & np.isfinite(z1) & np.isfinite(z2)
         bad |= ~good
         safe = np.where(good, z0, 1.0)
@@ -147,7 +178,7 @@ def _quadrature_moments(r, v, y, f, sigma2, rule):
     log_z = np.where(
         bad,
         -np.inf,
-        top[:, 0] + np.log(safe) + 0.5 * np.log(2.0 * last_scale)
+        top + np.log(safe) + 0.5 * np.log(2.0 * last_scale)
         - 0.5 * np.log(2.0 * np.pi * v) - 0.5 * np.log(2.0 * np.pi * sigma2),
     )
     return m1, m2, log_z, bad

@@ -7,6 +7,8 @@ code paths it is meant to verify.
 
 import numpy as np
 
+from scvamp.denoiser import _TANH_CLIP, LLR_MAX
+from scvamp.likelihood import _ADAPT_PASSES
 from scvamp.messages import GaussianMessage
 
 
@@ -108,3 +110,85 @@ def combine(a, b):
     variance = 1.0 / precision
     mean = variance * (a.mean / a.variance + b.mean / b.variance)
     return GaussianMessage(mean, variance)
+
+
+def reference_bp_decode(code, llr_in, iterations):
+    """Flooding sum-product decoding over the flat edge list, one bincount per sum.
+
+    The edge-list form of ``denoiser.bp_decode``, with the same floating-point
+    operations in the same order: the slot-layout decoder must match it bit
+    for bit.
+    """
+    llr = np.clip(np.asarray(llr_in, dtype=np.float64), -LLR_MAX, LLR_MAX)
+    ev, ec = code.edge_var, code.edge_check
+    num_checks = code.num_checks
+    c2v = np.zeros(ev.size)
+
+    for _ in range(int(iterations)):
+        totals = llr + np.bincount(ev, weights=c2v, minlength=code.n)
+        v2c = totals[ev] - c2v
+        t = np.tanh(0.5 * v2c)
+        zero = t == 0.0
+        mag = np.minimum(np.abs(t), _TANH_CLIP)
+        logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
+        neg = t < 0.0
+
+        sum_log = np.bincount(ec, weights=logmag, minlength=num_checks)
+        n_neg = np.bincount(ec, weights=neg.astype(np.float64), minlength=num_checks)
+        n_zero = np.bincount(ec, weights=zero.astype(np.float64), minlength=num_checks)
+
+        zc = n_zero[ec]
+        excl_log = sum_log[ec] - logmag
+        excl_neg = n_neg[ec] - neg
+        live = (zc == 0) | ((zc == 1) & zero)
+        sign = 1.0 - 2.0 * (excl_neg.astype(np.int64) & 1)
+        prod = sign * np.minimum(np.exp(excl_log), _TANH_CLIP)
+        c2v = np.where(live, 2.0 * np.arctanh(prod), 0.0)
+
+    return llr + np.bincount(ev, weights=c2v, minlength=code.n)
+
+
+def reference_quadrature_moments(r, v, y, f, sigma2, rule):
+    """Adaptive Gauss-Hermite moments of every component in one ``(M, Q)`` array.
+
+    The unblocked form of ``likelihood._quadrature_moments``, with the same
+    floating-point operations in the same order: the row-blocked kernel must
+    match its ``(m1, m2, log_z, fallback)`` bit for bit.
+    """
+    t = rule.nodes[None, :]
+    log_u = np.log(rule.weights)[None, :]
+    center = r
+    scale = np.full_like(r, v)
+    bad = np.zeros(r.shape, dtype=bool)
+    m1 = r.copy()
+    m2 = r * r + v
+    for _ in range(_ADAPT_PASSES):
+        w = center[:, None] + np.sqrt(2.0 * scale)[:, None] * t
+        resid = y[:, None] - f(w)
+        log_terms = (
+            log_u + t * t
+            - (w - r[:, None]) ** 2 / (2.0 * v)
+            - resid * resid / (2.0 * sigma2)
+        )
+        top = np.max(log_terms, axis=1, keepdims=True)
+        ok_top = np.isfinite(top[:, 0])
+        q = np.exp(log_terms - np.where(np.isfinite(top), top, 0.0))
+        z0 = q.sum(axis=1)
+        z1 = (q * w).sum(axis=1)
+        z2 = (q * w * w).sum(axis=1)
+        good = ok_top & np.isfinite(z0) & (z0 > 0.0) & np.isfinite(z1) & np.isfinite(z2)
+        bad |= ~good
+        safe = np.where(good, z0, 1.0)
+        m1 = np.where(bad, r, z1 / safe)
+        m2 = np.where(bad, r * r + v, z2 / safe)
+        m2 = np.maximum(m2, m1 * m1)  # posterior variance never negative
+        center = m1
+        last_scale = scale
+        scale = np.maximum(m2 - m1 * m1, 1e-12 * v)
+    log_z = np.where(
+        bad,
+        -np.inf,
+        top[:, 0] + np.log(safe) + 0.5 * np.log(2.0 * last_scale)
+        - 0.5 * np.log(2.0 * np.pi * v) - 0.5 * np.log(2.0 * np.pi * sigma2),
+    )
+    return m1, m2, log_z, bad

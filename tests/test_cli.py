@@ -171,6 +171,9 @@ def test_sweep_config_validation(small_code_path):
     with pytest.raises(ValueError, match="repeat"):
         SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
                     variants=("scvamp3", "llr-turbo", "scvamp3"))
+    with pytest.raises(ValueError, match="variants must not be empty"):
+        SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
+                    variants=())
     for snr_db_list in ((6.0, 6.0), (4, 6, 6.0)):
         with pytest.raises(ValueError, match="SNR points must not repeat"):
             SweepConfig(snr_db_list=snr_db_list, code=small_code_path, h_mode="iid:48x48")
@@ -207,6 +210,9 @@ def test_sweep_config_validation(small_code_path):
     ["--code", "builtin:r12-n128", "--h", "iid:128x64"],
     ["--code", "builtin:r12-n128", "--h", "blockdiag:48"],
     ["--code", "builtin:r12-n128", "--h", "iid:64x64"],
+    # no variant at all would run no frame and write a header-only CSV
+    ["--variant", ""],
+    ["--variant", ","],
 ])
 def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:

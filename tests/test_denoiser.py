@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import HAMMING74_ALIST, SPC3_ALIST
-from oracles import enumerate_codewords, exhaustive_symbol_posterior, gf2_rank
+from oracles import (
+    enumerate_codewords,
+    exhaustive_symbol_posterior,
+    gf2_rank,
+    reference_bp_decode,
+)
 from scvamp.codegen import make_regular_code
+from scvamp.codes import builtin_code_ids, load_builtin
 from scvamp.denoiser import (
     LLR_MAX,
     AlistParseError,
@@ -201,6 +207,47 @@ def test_bp_deterministic():
     a = bp_decode(code, llr, 7)
     b = bp_decode(code, llr, 7)
     np.testing.assert_array_equal(a, b)
+
+
+def _irregular_checks(n, degrees, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=d, replace=False) for d in degrees]
+
+
+_ORACLE_CODES = {
+    "hamming74": lambda: parse_alist(HAMMING74_ALIST),
+    "spc3": lambda: parse_alist(SPC3_ALIST),
+    # check degrees 1 to 12 and variable degrees from 0 up
+    "irregular": lambda: LdpcCode.from_checks(
+        40, _irregular_checks(40, [12, 1, 9, 5, 2, 10, 7, 3, 11, 4, 6, 8] * 2, seed=8)),
+    # one check (m = 1) and one variable (n = 1) of degree >= 9: a single-column
+    # layout would be summed pairwise, not in edge order
+    "one-check": lambda: LdpcCode.from_checks(11, [list(range(11))]),
+    "one-variable": lambda: LdpcCode.from_checks(1, [[0]] * 10),
+    "empty-checks": lambda: LdpcCode.from_checks(4, [[], [0, 1], []]),
+    **{cid: (lambda cid=cid: load_builtin(cid)) for cid in builtin_code_ids()},
+}
+
+
+def _oracle_llrs(n, seed):
+    rng = np.random.default_rng(seed)
+    cases = {f"normal-{scale}": rng.normal(scale=scale, size=n) for scale in (0.5, 3.0, 12.0)}
+    cases["zero"] = np.zeros(n)
+    cases["half-zero"] = np.where(np.arange(n) % 2 == 0, 0.0, rng.normal(scale=2.0, size=n))
+    cases["saturated"] = np.where(rng.random(n) < 0.5, -1.0, 1.0) * LLR_MAX
+    cases["beyond-saturation"] = np.where(rng.random(n) < 0.5, -40.0, 40.0)
+    return cases
+
+
+@pytest.mark.parametrize("name", _ORACLE_CODES)
+def test_bp_matches_edge_list_oracle_bit_for_bit(name):
+    code = _ORACLE_CODES[name]()
+    for label, llr in _oracle_llrs(code.n, seed=9).items():
+        for iterations in (1, 5, 20):
+            got = bp_decode(code, llr, iterations)
+            want = reference_bp_decode(code, llr, iterations)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                          err_msg=f"{label}, {iterations} iterations")
 
 
 def test_bp_requires_iterations():

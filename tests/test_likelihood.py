@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import component_moments
-from oracles import trapezoid_tanh_moments
-from scvamp.likelihood import ChannelSpec, gh_rule, likelihood_step, log_normalizer
+from oracles import reference_quadrature_moments, trapezoid_tanh_moments
+from scvamp.likelihood import (
+    ChannelSpec,
+    _quadrature_moments,
+    gh_rule,
+    likelihood_step,
+    log_normalizer,
+)
 from scvamp.messages import GaussianMessage
 
 
@@ -223,6 +229,24 @@ def test_underflow_fallback_returns_prior_moments():
         m1, m2 = component_moments(0.0, 1.0, 1e200, spec)
     assert m1 == 0.0
     assert m2 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m", [1, 511, 512, 513, 2304])  # around the 512-row blocks
+@pytest.mark.parametrize("v", [1e-7, 0.05, 0.6, 4.0])
+def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
+    rng = np.random.default_rng(m)
+    r = rng.normal(size=m)
+    sigma2 = 0.1
+    y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(sigma2) * rng.normal(size=m)
+    y[3::7] = 1e200  # the normalizer underflows: the fallback path
+    rule = gh_rule(50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _quadrature_moments(r, v, y, np.tanh, sigma2, rule)
+        want = reference_quadrature_moments(r, v, y, np.tanh, sigma2, rule)
+    for name, a, b in zip(("m1", "m2", "log_z"), got, want):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=name)
+    np.testing.assert_array_equal(got[3], want[3])
+    assert got[3].any() == (m > 3)
 
 
 def test_step_dimension_mismatch():
