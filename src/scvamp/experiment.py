@@ -82,11 +82,15 @@ class SweepConfig:
         if self.output_path is not None:  # fail now, not after the last frame
             if os.path.isdir(self.output_path):
                 raise ValueError(f"output path {self.output_path!r} is a directory")
-            if not os.path.isdir(os.path.dirname(os.path.abspath(self.output_path))):
+            # not abspath, which drops the trailing separator of "missing/"
+            if not os.path.isdir(os.path.dirname(self.output_path) or os.curdir):
                 raise ValueError(f"the directory of {self.output_path!r} does not exist")
+        label = code_label(self.code)
+        if not label.isascii() or set(label) & set(",\r\n"):
+            raise ValueError(f"CSV code label {label!r} must be ASCII with no comma or line break")
         parse_h_mode(self.h_mode)
         if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
-            fit_h_mode(self.h_mode, builtin_code_length(self.code.split(":", 1)[1]))
+            fit_h_mode(self.h_mode, builtin_code_length(label))
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("SNR points must not repeat")
@@ -159,13 +163,18 @@ def fit_h_mode(h_mode, n):
     return rows, cols, n // cols
 
 
+def code_label(spec_text):
+    """The CSV ``code`` column of a code reference: the builtin id or the alist file's stem."""
+    if spec_text.startswith("builtin:"):
+        return spec_text.split(":", 1)[1]
+    return os.path.splitext(os.path.basename(spec_text))[0]
+
+
 def load_code(spec_text):
     """Resolve a code reference to (code, label) from builtin ids or a path."""
-    if spec_text.startswith("builtin:"):
-        code_id = spec_text.split(":", 1)[1]
-        return load_builtin(code_id), code_id
-    code = load_alist(spec_text)
-    return code, os.path.splitext(os.path.basename(spec_text))[0]
+    label = code_label(spec_text)
+    code = load_builtin(label) if spec_text.startswith("builtin:") else load_alist(spec_text)
+    return code, label
 
 
 def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
@@ -245,8 +254,9 @@ def _iterate_blocks(code, config, consume):
             next_seed = block.stop
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            # every task is consumed by now, unless an exception (Ctrl-C) left the loop:
+            # then a worker may have died mid-task, and close() + join() would wait forever
+            pool.terminate()
 
 
 def ber_sweep(config: SweepConfig):

@@ -39,17 +39,9 @@ NONLINEARITIES: dict[str, Callable] = {
 }
 
 
-def _checked_order(order) -> int:
-    """The Gauss-Hermite order as an int, if it lies in the range gh_rule builds."""
-    q = int(order)
-    if not 2 <= q <= 200:
-        raise ValueError(f"quadrature order must lie in [2, 200], got {order}")
-    return q
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Observation model: component-wise nonlinearity, noise variance, quadrature order.
+    """Observation model: component-wise nonlinearity and noise variance.
 
     ``nonlinearity`` is a registered name, a key of ``NONLINEARITIES``
     (``"id"``, ``"tanh"``); an unknown name raises ``ValueError``.  SNR is
@@ -58,7 +50,6 @@ class ChannelSpec:
 
     nonlinearity: str = "id"
     noise_variance: float = 1.0
-    quadrature_order: int = 50
 
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITIES:
@@ -68,7 +59,6 @@ class ChannelSpec:
             )
         if not (np.isfinite(self.noise_variance) and self.noise_variance > 0.0):
             raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
-        _checked_order(self.quadrature_order)
 
     @property
     def is_identity(self):
@@ -97,13 +87,17 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gh_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order (exact for polynomials up to 2Q-1)."""
-    nodes, weights = np.polynomial.hermite.hermgauss(_checked_order(order))
+    """Gauss-Hermite rule of order Q in [2, 200] (exact for polynomials up to 2Q-1)."""
+    q = int(order)
+    if not 2 <= q <= 200:
+        raise ValueError(f"quadrature order must lie in [2, 200], got {order}")
+    nodes, weights = np.polynomial.hermite.hermgauss(q)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes, weights)
 
 
+_ORDER = 50  # Gauss-Hermite nodes per component in the observation stage
 _ADAPT_PASSES = 3
 _BLOCK_ROWS = 512  # components per block: a block's buffers stay in cache
 
@@ -196,8 +190,7 @@ def log_normalizer(r, v, y, spec: ChannelSpec):
         tot = v + sigma2
         return float(-0.5 * (y - r) ** 2 / tot - 0.5 * np.log(2.0 * np.pi * tot))
     _, _, log_z, _ = _quadrature_moments(
-        np.array([float(r)]), float(v), np.array([float(y)]), spec.f, sigma2,
-        gh_rule(spec.quadrature_order),
+        np.array([float(r)]), float(v), np.array([float(y)]), spec.f, sigma2, gh_rule(_ORDER)
     )
     return float(log_z[0])
 
@@ -225,8 +218,7 @@ def likelihood_step(
         m1 = v_post * (rw.mean / v + y / sigma2)
         return GaussianMessage(y, sigma2), PosteriorSummary(m1, v_post, v_post / v)
 
-    rule = gh_rule(spec.quadrature_order)
-    m1, m2, _, bad = _quadrature_moments(rw.mean, v, y, spec.f, sigma2, rule)
+    m1, m2, _, bad = _quadrature_moments(rw.mean, v, y, spec.f, sigma2, gh_rule(_ORDER))
     if np.any(bad):
         warnings.warn(
             f"quadrature normalizer underflow on {int(bad.sum())} of {y.size} components",

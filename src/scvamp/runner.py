@@ -11,17 +11,17 @@ and ``(y, sigma2)`` on the w side.
 Every variant runs the same loop; they differ only in per-stage policy, one
 row of ``POLICIES`` each:
 
-    variant             onsager  observer_live  llr_subtraction
-    scvamp3             yes      yes            no
-    scvamp2-mismatched  yes      no             no
-    no-onsager          no       yes            no
-    llr-turbo           yes      yes            yes
+    variant             onsager  identity_model  llr_subtraction
+    scvamp3             yes      no              no
+    scvamp2-mismatched  yes      yes             no
+    no-onsager          no       no              no
+    llr-turbo           yes      no              yes
 
 * ``onsager`` - every stage forwards its Onsager-corrected extrinsic message;
   otherwise it forwards its posterior (mean and posterior variance).
-* ``observer_live`` - the observation stage reruns every iteration; otherwise
-  it stays frozen at ``(y, sigma2)`` (exactly the identity-f behaviour)
-  regardless of the true nonlinearity.
+* ``identity_model`` - the observation stage assumes ``f = id`` at the
+  channel's noise variance, whatever the true nonlinearity; its extrinsic
+  output is then ``(y, sigma2)`` on every iteration.
 * ``llr_subtraction`` - the decoder forwards the classical extrinsic LLRs
   ``L_app - L_in`` mapped to Bernoulli moments instead of its ``onsager``
   output.
@@ -41,7 +41,7 @@ import numpy as np
 from .channel import Realization, TrialScenario
 from .coupling import coupling_posterior
 from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
-from .likelihood import likelihood_step
+from .likelihood import ChannelSpec, likelihood_step
 from .messages import DivergenceError, GaussianMessage, PosteriorSummary, extrinsic
 
 # forwarded posteriors and saturated decodes can carry exactly-zero variance;
@@ -65,13 +65,13 @@ class Policy:
     """Per-stage behaviour of one variant (see the module docstring)."""
 
     onsager: bool = True
-    observer_live: bool = True
+    identity_model: bool = False
     llr_subtraction: bool = False
 
 
 POLICIES = MappingProxyType({
     Variant.SCVAMP3: Policy(),
-    Variant.SCVAMP2_MISMATCHED: Policy(observer_live=False),
+    Variant.SCVAMP2_MISMATCHED: Policy(identity_model=True),
     Variant.NO_ONSAGER: Policy(onsager=False),
     Variant.LLR_TURBO: Policy(llr_subtraction=True),
 })
@@ -83,9 +83,8 @@ class IterationTrace:
 
     ``alphas`` holds each stage's ``PosteriorSummary.alpha``, the variance
     ratio before :func:`~scvamp.messages.extrinsic` clamps it (coupling
-    x-side, observation stage, denoiser stage); entries are NaN when a variant
-    does not compute that stage.  Length equals the number of executed
-    iterations.
+    x-side, observation stage under the variant's model, denoiser stage).
+    Length equals the number of executed iterations.
     """
 
     mse: np.ndarray
@@ -136,6 +135,7 @@ def run_variant(
     policy = POLICIES[Variant(variant)]
     y = np.asarray(y, dtype=np.float64)
     code, mix, spec = scenario.code, scenario.h, scenario.spec
+    model = ChannelSpec("id", spec.noise_variance) if policy.identity_model else spec
     n = code.n
 
     def forward(msg_in, post):
@@ -148,8 +148,7 @@ def run_variant(
     diverged = False
 
     try:
-        observed = GaussianMessage(y, spec.noise_variance)
-        rx_msg, rw_msg = GaussianMessage(np.zeros(n), 1.0), observed
+        rx_msg, rw_msg = GaussianMessage(np.zeros(n), 1.0), GaussianMessage(y, spec.noise_variance)
         for t in range(1, int(outer_iters) + 1):
             x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix)
             to_denoiser = forward(rx_msg, x_post_c)
@@ -166,18 +165,13 @@ def run_variant(
                 rx_msg = forward(to_denoiser, post_b)
             x_hat = post_b.mean
 
-            if policy.observer_live:
-                ext_w, post_a = likelihood_step(to_observer, y, spec)
-                alpha_a = post_a.alpha
-                rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
-            else:
-                alpha_a = np.nan
-                rw_msg = observed
+            ext_w, post_a = likelihood_step(to_observer, y, model)
+            rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
 
             mse.append(float(np.mean((x_hat - truth.symbols) ** 2)))
             vxs.append(rx_msg.variance)
             vws.append(rw_msg.variance)
-            alphas.append((x_post_c.alpha, alpha_a, post_b.alpha))
+            alphas.append((x_post_c.alpha, post_a.alpha, post_b.alpha))
 
             hard = hard_decision(x_hat)
             if (

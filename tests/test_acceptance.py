@@ -67,7 +67,7 @@ def test_criterion_02_likelihood_vs_dense_integration():
         w_true = rng.normal(0.0, 1.0)
         r = w_true + np.sqrt(v) * rng.normal()
         y = np.tanh(w_true) + np.sqrt(s2) * rng.normal()
-        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
+        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2))
         m1o, m2o = trapezoid_tanh_moments(r, v, y, s2)
         worst = max(worst, abs(m1 - m1o) / max(abs(m1o), 1e-3),
                     abs(m2 - m2o) / max(abs(m2o), 1e-3))
@@ -124,7 +124,7 @@ def test_criterion_04_tweedie_and_stein_finite_differences():
         for v in (0.1, 0.5):
             for y in (-0.8, 0.3):
                 for s2 in (0.1, 0.4):
-                    spec = ChannelSpec("tanh", s2, 50)
+                    spec = ChannelSpec("tanh", s2)
                     h_fd = 1e-4 * np.sqrt(v)
                     grad = (log_normalizer(r + h_fd, v, y, spec)
                             - log_normalizer(r - h_fd, v, y, spec)) / (2 * h_fd)

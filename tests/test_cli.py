@@ -1,7 +1,11 @@
+import contextlib
 import os
 import re
+import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,12 +94,31 @@ def test_readme_flag_list_matches_parser():
     assert documented == options - {"-h", "--help"}
 
 
-def _run_module(*argv):
-    """``python -m scvamp`` with this checkout's ``src`` first on the import path."""
+def test_readme_examples_parse():
+    # every scvamp command in README's fenced blocks is a valid invocation
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("scvamp ")
+    ]
+    assert len(commands) == 3
+    for argv in commands:
+        parse_cli(argv[1:])
+
+
+def _module_env():
+    """This environment with the checkout's ``src`` first on the import path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "scvamp", *argv], env=env,
+
+
+def _run_module(*argv):
+    """``python -m scvamp`` run from this checkout."""
+    return subprocess.run([sys.executable, "-m", "scvamp", *argv], env=_module_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -221,14 +244,59 @@ def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("out", ["missing/o.csv", "existing-dir"])
+@pytest.mark.parametrize("out", ["missing/o.csv", "existing-dir", "missing/"])
 def test_bad_out_is_usage_error(small_code_path, tmp_path, out):
     # caught before the run, so a long sweep cannot lose its result at the end
     (tmp_path / "existing-dir").mkdir()
     with pytest.raises(SystemExit) as err:
-        main(_base_args(small_code_path, tmp_path / out))
+        main(_base_args(small_code_path, os.path.join(tmp_path, out)))  # keeps a trailing "/"
     assert err.value.code == 2
     assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]  # no CSV, no .tmp
+
+
+@pytest.mark.parametrize("name", ["my,code", "my\ncode", "my\u00f8code"])
+def test_code_label_that_breaks_the_csv_is_usage_error(small_code_path, tmp_path, name):
+    # the file's stem is the CSV's code column
+    code_path = tmp_path / f"{name}.alist"
+    code_path.write_text(Path(small_code_path).read_text())
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(str(code_path), tmp_path / "o.csv"))
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_ctrl_c_stops_a_pooled_sweep(tmp_path):
+    # Ctrl-C in a terminal interrupts the whole process group, so a worker can die
+    # mid-task; the sweep must still exit promptly, leaving no process and no CSV
+    out = tmp_path / "o.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scvamp", "--snr-db", "8", "--code", "builtin:r12-n512",
+         "--h", "blockdiag:32", "--nonlinearity", "tanh",
+         "--variant", ",".join(v.value for v in Variant), "--min-errors", "1000000",
+         "--workers", "2", "--out", str(out)],
+        env=_module_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+        # a shell that starts jobs in the background has them ignore SIGINT
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        time.sleep(5)  # the workers are up and decoding
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break  # no member of the group is left
+            assert time.monotonic() < deadline, "a process of the sweep outlived it"
+            time.sleep(0.1)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("experiment", ["ber", "mse-trace"])

@@ -65,8 +65,6 @@ def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec("tanh", -1.0)
     with pytest.raises(ValueError):
-        ChannelSpec("tanh", 1.0, 1)
-    with pytest.raises(ValueError):
         ChannelSpec("cube", 1.0)
 
 
@@ -83,16 +81,6 @@ def test_identity_conjugate_example():
     assert m2 - m1 * m1 == pytest.approx(0.5, abs=1e-14)
 
 
-def test_identity_closed_form_independent_of_quadrature_order():
-    for q in (2, 3, 50, 100):
-        spec = ChannelSpec("id", 0.3, q)
-        m1, m2 = component_moments(0.4, 0.7, -0.2, spec)
-        v_post = 1.0 / (1.0 / 0.7 + 1.0 / 0.3)
-        expect = v_post * (0.4 / 0.7 + -0.2 / 0.3)
-        assert m1 == pytest.approx(expect, abs=1e-12)
-        assert m2 - m1 * m1 == pytest.approx(v_post, abs=1e-12)
-
-
 def test_tanh_delta_prior_limit():
     spec = ChannelSpec("tanh", 0.2)
     m1, _ = component_moments(0.37, 1e-10, 0.9, spec)
@@ -100,7 +88,7 @@ def test_tanh_delta_prior_limit():
 
 
 def test_tanh_matches_dense_integration_oracle():
-    spec = ChannelSpec("tanh", 0.1, 50)
+    spec = ChannelSpec("tanh", 0.1)
     m1, m2 = component_moments(0.3, 0.8, 0.5, spec)
     m1o, m2o = trapezoid_tanh_moments(0.3, 0.8, 0.5, 0.1)
     assert m1 == pytest.approx(m1o, rel=1e-8)
@@ -147,7 +135,7 @@ def test_step_matches_hand_extrinsic_on_oracle_moments():
     rng = np.random.default_rng(4)
     v = 0.3
     sigma2 = 0.15
-    spec = ChannelSpec("tanh", sigma2, 50)
+    spec = ChannelSpec("tanh", sigma2)
     r = rng.normal(size=8) * 0.8
     y = np.tanh(r + np.sqrt(v) * rng.normal(size=8)) + np.sqrt(sigma2) * rng.normal(size=8)
     ext, post = likelihood_step(GaussianMessage(r, v), y, spec)
@@ -188,7 +176,7 @@ _CONVERGED_GRID = [
 def test_tweedie_consistency_finite_difference():
     # v * d/dr log Z equals m1 - r
     for r, v, y, s2 in _FD_GRID:
-        spec = ChannelSpec("tanh", s2, 50)
+        spec = ChannelSpec("tanh", s2)
         h = 1e-4 * np.sqrt(v)
         grad = (log_normalizer(r + h, v, y, spec) - log_normalizer(r - h, v, y, spec)) / (2 * h)
         m1, _ = component_moments(r, v, y, spec)
@@ -198,7 +186,7 @@ def test_tweedie_consistency_finite_difference():
 def test_second_order_tweedie_finite_difference():
     # per-component posterior variance equals v + v^2 * ds/dr
     for r, v, y, s2 in _FD_GRID:
-        spec = ChannelSpec("tanh", s2, 50)
+        spec = ChannelSpec("tanh", s2)
         h = 1e-4 * np.sqrt(v)
 
         def score(rr):
@@ -212,19 +200,20 @@ def test_second_order_tweedie_finite_difference():
 
 def test_monotone_quadrature_convergence():
     for r, v, y, s2 in _CONVERGED_GRID:
-        m50, _ = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
-        m100, _ = component_moments(r, v, y, ChannelSpec("tanh", s2, 100))
-        assert abs(m50 - m100) <= 1e-9
+        args = np.array([r]), v, np.array([y]), np.tanh, s2
+        m50 = _quadrature_moments(*args, gh_rule(50))[0]
+        m100 = _quadrature_moments(*args, gh_rule(100))[0]
+        assert abs(m50[0] - m100[0]) <= 1e-9
 
 
 def test_posterior_variance_never_exceeds_prior():
     for r, v, y, s2 in _CONVERGED_GRID:
-        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2, 50))
+        m1, m2 = component_moments(r, v, y, ChannelSpec("tanh", s2))
         assert m2 - m1 * m1 <= v + 1e-9
 
 
 def test_underflow_fallback_returns_prior_moments():
-    spec = ChannelSpec("tanh", 1e-3, 50)
+    spec = ChannelSpec("tanh", 1e-3)
     with pytest.warns(RuntimeWarning):
         m1, m2 = component_moments(0.0, 1.0, 1e200, spec)
     assert m1 == 0.0

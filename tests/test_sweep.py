@@ -96,10 +96,7 @@ def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers,
         def map(self, func, tasks):
             return [func(task) for task in tasks]
 
-        def close(self):
-            pass
-
-        def join(self):
+        def terminate(self):
             pass
 
     monkeypatch.setattr(scvamp.experiment, "_POOL_STATE", {})
