@@ -57,9 +57,6 @@ def build_parser():
                         help="worker processes for either experiment")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
-    parser.add_argument("--early-stop", action="store_true",
-                        help="stop a trial once decisions are stable with zero syndrome "
-                             "(ber only)")
     return parser
 
 
@@ -98,3 +95,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted: the sweep stopped and no CSV was written", file=sys.stderr)
+        return 130

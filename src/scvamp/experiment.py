@@ -22,8 +22,10 @@ CSV schemas (one header line, optional '#' metadata comments above it):
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -58,7 +60,6 @@ class SweepConfig:
     error_unit: str = "bit"
     experiment: str = "ber"  # "ber" or "mse-trace"
     deterministic: bool = False
-    early_stop: bool = False
 
     def __post_init__(self):
         if not self.snr_db_list:
@@ -70,11 +71,8 @@ class SweepConfig:
             raise ValueError(f"error_unit must be 'bit' or 'frame', got {self.error_unit!r}")
         if self.experiment not in ("ber", "mse-trace"):
             raise ValueError(f"experiment must be 'ber' or 'mse-trace', got {self.experiment!r}")
-        if self.experiment == "mse-trace":
-            if len(self.snr_db_list) != 1:
-                raise ValueError("mse trace runs at exactly one SNR")
-            if self.early_stop:
-                raise ValueError("early stopping applies to BER sweeps only, not to mse trace")
+        if self.experiment == "mse-trace" and len(self.snr_db_list) != 1:
+            raise ValueError("mse trace runs at exactly one SNR")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.master_seed < 0:
@@ -193,6 +191,9 @@ _POOL_STATE: dict = {}
 
 
 def _pool_init(code, config):
+    # Ctrl-C reaches the whole process group; only the parent handles it, and
+    # its pool.terminate() ends the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _POOL_STATE["code"] = code
     _POOL_STATE["config"] = config
 
@@ -201,7 +202,9 @@ def _seed_outcomes(code, config, seed, work):
     """(bit_errors, diverged, mse trace) per ``(snr, variant)`` pair of ``work`` for one seed.
 
     ``work`` lists the pairs grouped by SNR.  H is drawn and decomposed once,
-    at the first SNR; every SNR point swaps only the channel spec.
+    at the first SNR; every SNR point swaps only the channel spec.  A BER
+    frame stops once its decisions are stable with a zero syndrome, which
+    fixes its bit errors; an MSE trace runs every iteration.
     """
     scenario = build_scenario(code, config.h_mode, work[0][0], config.nonlinearity, seed)
     out = {}
@@ -211,7 +214,7 @@ def _seed_outcomes(code, config, seed, work):
         for _, variant in at_snr:
             res = run_variant(
                 variant, truth.y, scenario, config.outer_iters, config.bp_iters,
-                early_stop=config.early_stop, truth=truth,
+                early_stop=config.experiment == "ber", truth=truth,
             )
             out[snr_db, variant] = (res.bit_errors, int(res.diverged), res.trace.mse)
     return out
@@ -295,8 +298,8 @@ def mse_trace_experiment(config: SweepConfig):
 
     Iteration 0 is the initialization (zero estimate), whose MSE is exactly 1
     for BPSK.  Every trial runs all ``outer_iters`` iterations unless it
-    diverges, so early stopping is rejected; a diverged trial is left out of
-    the iterations it did not reach.  Returns {variant: (mean_per_iter,
+    diverges, even past convergence; a diverged trial is left out of the
+    iterations it did not reach.  Returns {variant: (mean_per_iter,
     median_per_iter, diverged_per_iter)} and writes the CSV if an output path
     is configured.
     """
@@ -329,9 +332,14 @@ def mse_trace_experiment(config: SweepConfig):
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write leaves neither the CSV nor its partial file
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _metadata_lines(config):

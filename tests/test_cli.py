@@ -16,6 +16,7 @@ from scvamp.codegen import make_regular_code
 from scvamp.denoiser import serialize_alist
 from scvamp.experiment import (
     SweepConfig,
+    _atomic_write,
     ber_sweep,
     mse_trace_experiment,
     parse_h_mode,
@@ -80,9 +81,6 @@ def test_every_flag_reaches_its_field(small_code_path, tmp_path):
         output_path=str(tmp_path / "o.csv"), workers=3, error_unit="frame",
         experiment="mse-trace", deterministic=True,
     )
-    # mse-trace rejects --early-stop, so it is checked on a BER sweep
-    assert parse_cli(_base_args(small_code_path, tmp_path / "o.csv")
-                     + ["--early-stop"]).early_stop is True
 
 
 def test_readme_flag_list_matches_parser():
@@ -227,7 +225,7 @@ def test_sweep_config_validation(small_code_path):
 
 @pytest.mark.parametrize("flags", [
     ["--experiment", "mse-trace", "--snr-db", "5,6"],
-    ["--experiment", "mse-trace", "--early-stop"],
+    ["--early-stop"],  # not a flag: a BER sweep always stops a converged frame
     ["--code", "builtin:r12-n999"],
     # an --h that does not fit a builtin code's length is caught before the run
     ["--code", "builtin:r12-n128", "--h", "iid:128x64"],
@@ -265,16 +263,24 @@ def test_code_label_that_breaks_the_csv_is_usage_error(small_code_path, tmp_path
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_failed_csv_write_leaves_no_file(tmp_path):
+    out = tmp_path / "o.csv"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(out), "snr_db\n\u00f8\n")
+    assert list(tmp_path.iterdir()) == []  # neither o.csv nor o.csv.tmp
+
+
 def test_ctrl_c_stops_a_pooled_sweep(tmp_path):
-    # Ctrl-C in a terminal interrupts the whole process group, so a worker can die
-    # mid-task; the sweep must still exit promptly, leaving no process and no CSV
+    # Ctrl-C in a terminal interrupts the whole process group; the sweep must
+    # exit promptly with status 130 and one line on stderr, leaving no process
+    # and no CSV
     out = tmp_path / "o.csv"
     proc = subprocess.Popen(
         [sys.executable, "-m", "scvamp", "--snr-db", "8", "--code", "builtin:r12-n512",
          "--h", "blockdiag:32", "--nonlinearity", "tanh",
          "--variant", ",".join(v.value for v in Variant), "--min-errors", "1000000",
          "--workers", "2", "--out", str(out)],
-        env=_module_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=_module_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
         # a shell that starts jobs in the background has them ignore SIGINT
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
@@ -296,6 +302,10 @@ def test_ctrl_c_stops_a_pooled_sweep(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+    stderr = proc.stderr.read()  # every writer has exited, so this reads to the end
+    proc.stderr.close()
+    assert proc.returncode == 130, stderr
+    assert len(stderr.splitlines()) == 1, stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -442,13 +452,6 @@ def test_mse_trace_leaves_out_diverged_iterations(small_code_path, tmp_path, mon
 def test_mse_trace_requires_single_snr(small_code_path):
     cfg = SweepConfig(snr_db_list=(5.0, 6.0), code=small_code_path, h_mode="iid:48x48")
     with pytest.raises(ValueError):
-        mse_trace_experiment(cfg)
-
-
-def test_mse_trace_rejects_early_stop(small_code_path):
-    cfg = SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x48",
-                      early_stop=True)
-    with pytest.raises(ValueError, match="early stopping"):
         mse_trace_experiment(cfg)
 
 

@@ -146,6 +146,29 @@ def test_converged_iteration_and_early_stop(code128):
     assert len(stopped.trace) == stopped.converged_iteration
 
 
+@pytest.mark.parametrize("h_mode, nonlinearity, snrs", [
+    ("iid:128x128", "id", (4.0, 5.0, 6.0, 7.0)),
+    ("blockdiag:32", "tanh", (6.0, 7.0, 8.0, 9.0, 10.0)),
+])
+def test_early_stop_moves_no_outcome(code128, h_mode, nonlinearity, snrs):
+    # a BER sweep stops each frame at convergence, so its outcome must be the full run's
+    stopped_short = 0
+    for seed in range(5):
+        for snr_db in snrs:
+            scenario, truth = _trial(code128, h_mode, snr_db, nonlinearity, seed)
+            for variant in Variant:
+                full, stopped = (
+                    run_variant(variant, truth.y, scenario, 20, 20, truth=truth, early_stop=stop)
+                    for stop in (False, True)
+                )
+                where = (seed, snr_db, variant.value)
+                assert (stopped.bit_errors, stopped.diverged) == (
+                    full.bit_errors, full.diverged), where
+                np.testing.assert_array_equal(stopped.hard_bits, full.hard_bits, err_msg=where)
+                stopped_short += len(stopped.trace) < len(full.trace)
+    assert stopped_short > 0  # the grid reaches the waterfall, where frames converge
+
+
 def test_run_variant_rejects_bad_iteration_count(code128):
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 17)
     with pytest.raises(ValueError):

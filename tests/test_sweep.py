@@ -1,4 +1,5 @@
-"""A multi-SNR BER sweep pinned byte for byte, and one H build per seed.
+"""A multi-SNR BER sweep pinned byte for byte, one H build per seed, and the
+stop rule each experiment gives its frames.
 
 ``golden_sweep.csv`` is the ``--deterministic`` BER CSV of a three-SNR,
 two-variant sweep whose points stop after different frame counts, one of them
@@ -80,6 +81,25 @@ def test_mse_trace_builds_once_per_trial(monkeypatch):
         experiment="mse-trace",
     ))
     assert calls == {"build_scenario": 4, "precompute": 4}
+
+
+def test_each_experiment_picks_its_stop_rule(monkeypatch):
+    # a BER frame stops at convergence; an MSE trace needs every iteration's column
+    seen = []
+    original = scvamp.experiment.run_variant
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("early_stop"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scvamp.experiment, "run_variant", recording)
+    small = dict(snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="iid:96x128",
+                 variants=("scvamp3", "no-onsager"), outer_iters=3, bp_iters=3, max_seeds=2)
+    ber_sweep(SweepConfig(**small))
+    assert seen == [True] * 4
+    seen.clear()
+    mse_trace_experiment(SweepConfig(**small, experiment="mse-trace"))
+    assert seen == [False] * 4
 
 
 @pytest.mark.parametrize("workers, size", [(64, 16), (3, 3)])
