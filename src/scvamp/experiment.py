@@ -2,16 +2,16 @@
 
 Trials are indexed by (snr, seed).  H and the information bits depend on the
 seed alone and only the noise on the SNR, so every variant at every SNR point
-of one seed consumes the same H: it is drawn and decomposed once per seed and
+of one seed uses the same H: it is drawn and decomposed once per seed and
 reused for every SNR point.  Seeds count ``master_seed, master_seed+1, ...``
-per SNR point.  In a BER sweep each (snr, variant) pair keeps drawing seeds in
-order until it has collected ``min_errors`` errors or ``max_seeds`` seeds
-ran; an MSE trace runs ``max_seeds`` seeds at one SNR.  Both experiments
-dispatch work seed-major to an optional process pool in fixed-size seed
-blocks, each seed running every pair still active when its block was
-dispatched, but results are always consumed strictly in seed order, so the
-output is byte-identical at any worker count (results computed past a pair's
-stopping seed are discarded).
+per SNR point.  Both experiments run one seed loop, :func:`_iterate_blocks`: it
+passes each ``(snr, variant)`` pair's ``DecodeResult`` to the experiment's
+``record(seed, pair, result)`` in seed order, and ``record`` says whether the
+pair keeps drawing seeds.  A BER point stops at ``min_errors`` errors or
+``max_seeds`` seeds; an MSE trace records ``max_seeds`` seeds at one SNR.
+Seeds run in fixed-size blocks, optionally on a process pool, but a frame past
+its pair's stopping seed is never recorded, so the output is byte-identical at
+any worker count.
 
 CSV schemas (one header line, optional '#' metadata comments above it):
 
@@ -90,8 +90,10 @@ class SweepConfig:
         if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
             fit_h_mode(self.h_mode, builtin_code_length(label))
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
-        if len(set(self.snr_db_list)) != len(self.snr_db_list):
-            raise ValueError("SNR points must not repeat")
+        # two points must differ as numbers (0 and -0 do not) and as CSV labels (6 and 6.000001)
+        snrs = self.snr_db_list
+        if min(len(set(snrs)), len({f"{s:g}" for s in snrs})) != len(snrs):
+            raise ValueError("SNR points must not repeat, as numbers or as CSV labels")
         object.__setattr__(
             self, "variants", tuple(Variant(v) for v in self.variants)
         )
@@ -129,7 +131,7 @@ class BerPoint:
 
 
 def parse_h_mode(text):
-    """Parse 'iid:MxN' or 'blockdiag:B' into a structured tuple; sizes must be >= 1."""
+    """Parse 'iid:MxN' or 'blockdiag:B' into a structured tuple; sizes are ASCII digits, >= 1."""
     kind, _, rest = text.partition(":")
     if kind == "iid":
         m_txt, _, n_txt = rest.partition("x")
@@ -138,10 +140,9 @@ def parse_h_mode(text):
         fields, form = (rest,), "blockdiag:B"
     else:
         raise ValueError(f"unknown H mode {text!r}; use iid:MxN or blockdiag:B")
-    try:
-        sizes = tuple(int(f) for f in fields)
-    except ValueError:
+    if not all(f.isascii() and f.isdigit() for f in fields):  # int() also takes " 3_2\n"
         raise ValueError(f"malformed {kind} mode {text!r}, expected {form}")
+    sizes = tuple(int(f) for f in fields)
     if min(sizes) < 1:
         raise ValueError(f"H mode {text!r} needs sizes of at least 1")
     return (kind, *sizes)
@@ -199,7 +200,7 @@ def _pool_init(code, config):
 
 
 def _seed_outcomes(code, config, seed, work):
-    """(bit_errors, diverged, mse trace) per ``(snr, variant)`` pair of ``work`` for one seed.
+    """``run_variant``'s ``DecodeResult`` per ``(snr, variant)`` pair of ``work`` for one seed.
 
     ``work`` lists the pairs grouped by SNR.  H is drawn and decomposed once,
     at the first SNR; every SNR point swaps only the channel spec.  A BER
@@ -212,11 +213,10 @@ def _seed_outcomes(code, config, seed, work):
         scenario = replace(scenario, spec=ChannelSpec.from_snr_db(snr_db, config.nonlinearity))
         truth = realize(scenario)
         for _, variant in at_snr:
-            res = run_variant(
+            out[snr_db, variant] = run_variant(
                 variant, truth.y, scenario, config.outer_iters, config.bp_iters,
                 early_stop=config.experiment == "ber", truth=truth,
             )
-            out[snr_db, variant] = (res.bit_errors, int(res.diverged), res.trace.mse)
     return out
 
 
@@ -225,39 +225,39 @@ def _pool_task(args):
     return _seed_outcomes(_POOL_STATE["code"], _POOL_STATE["config"], seed, work)
 
 
-def _iterate_blocks(code, config, consume):
-    """Dispatch seeds in fixed blocks; ``consume(seed, outcomes) -> still_active``.
+def _iterate_blocks(code, config, record):
+    """Run the seed loop; ``record(seed, pair, result) -> keeps_drawing`` sees every frame.
 
-    The active set holds the ``(snr, variant)`` pairs still drawing seeds, and
-    every seed of a block runs the pairs active when the block is dispatched.
-    ``consume`` is called strictly in seed order and returns the pairs that
-    remain active; dispatching stops once none are or ``config.max_seeds``
-    seeds ran.  With ``config.workers > 1`` the blocks run on a spawned pool
-    that lives for this call; a block holds at most ``_BLOCK_SIZE`` seeds, so
-    no more processes than that are started.
+    This is the only place that knows which ``(snr, variant)`` pairs are still
+    drawing seeds.  Seeds ``0 .. max_seeds - 1`` (offset by ``master_seed``
+    for the draws) run in fixed blocks of ``_BLOCK_SIZE``, and every seed of a
+    block runs the pairs active when the block is dispatched.  ``record`` is
+    called once per active pair and seed, strictly in seed order, with
+    ``run_variant``'s result; a pair for which it returns False is never
+    recorded again, even for the rest of its block, and dispatching stops
+    once no pair is active.  With ``config.workers > 1`` the blocks run on a
+    spawned pool that lives for this call; a block holds at most
+    ``_BLOCK_SIZE`` seeds, so no more processes than that are started.
     """
     pool = multiprocessing.get_context("spawn").Pool(
         min(config.workers, _BLOCK_SIZE), initializer=_pool_init, initargs=(code, config)
     ) if config.workers > 1 else None
     try:
         active = config.pairs
-        next_seed = 0
-        while active and next_seed < config.max_seeds:
-            block = range(next_seed, min(next_seed + _BLOCK_SIZE, config.max_seeds))
-            work = tuple(active)
-            tasks = [(config.master_seed + s, work) for s in block]
+        for start in range(0, config.max_seeds, _BLOCK_SIZE):
+            if not active:
+                break
+            block = range(start, min(start + _BLOCK_SIZE, config.max_seeds))
+            tasks = [(config.master_seed + s, active) for s in block]
             if pool is None:
                 results = [_seed_outcomes(code, config, *task) for task in tasks]
             else:
                 results = pool.map(_pool_task, tasks)
             for seed, outcomes in zip(block, results):
-                active = consume(seed, outcomes)
-                if not active:
-                    break
-            next_seed = block.stop
+                active = [pair for pair in active if record(seed, pair, outcomes[pair])]
     finally:
         if pool is not None:
-            # every task is consumed by now, unless an exception (Ctrl-C) left the loop:
+            # every task has returned by now, unless an exception (Ctrl-C) left the loop:
             # then a worker may have died mid-task, and close() + join() would wait forever
             pool.terminate()
 
@@ -267,29 +267,29 @@ def ber_sweep(config: SweepConfig):
     code, code_label = load_code(config.code)
     tallies = {pair: BerPoint(*pair) for pair in config.pairs}
 
-    def metric(tally):
-        return tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
+    def record(seed, pair, result):
+        tally = tallies[pair]
+        tally.frames += 1
+        tally.bits_simulated += code.n
+        tally.bit_errors += result.bit_errors
+        tally.frame_errors += int(result.bit_errors > 0)
+        tally.diverged_frames += int(result.diverged)
+        errors = tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
+        return errors < config.min_errors
 
-    def consume(seed, outcomes):
-        still = []
-        for pair, tally in tallies.items():
-            if pair not in outcomes or metric(tally) >= config.min_errors:
-                continue  # inactive, or stopped earlier in this block
-            bits_err, diverged, _ = outcomes[pair]
-            tally.frames += 1
-            tally.bits_simulated += code.n
-            tally.bit_errors += bits_err
-            tally.frame_errors += int(bits_err > 0)
-            tally.diverged_frames += diverged
-            if metric(tally) < config.min_errors:
-                still.append(pair)
-        return still
-
-    _iterate_blocks(code, config, consume)
+    _iterate_blocks(code, config, record)
     points = list(tallies.values())
-
     if config.output_path:
-        _write_ber_csv(config, code, code_label, points)
+        _write_csv(config, (
+            "snr_db,variant,code,n,k,h_mode,nonlinearity,frames,bits,bit_errors,"
+            "frame_errors,diverged,ber,fer,seed_base"
+        ), (
+            f"{p.snr_db:g},{p.variant.value},{code_label},{code.n},{code.k},"
+            f"{config.h_mode},{config.nonlinearity},{p.frames},{p.bits_simulated},"
+            f"{p.bit_errors},{p.frame_errors},{p.diverged_frames},"
+            f"{p.ber:.6e},{p.fer:.6e},{config.master_seed}"
+            for p in points
+        ))
     return points
 
 
@@ -305,18 +305,19 @@ def mse_trace_experiment(config: SweepConfig):
     """
     config = replace(config, experiment="mse-trace")  # re-validates the mse-trace rules
     code, _ = load_code(config.code)
-    iters = config.outer_iters
-    per_variant = {v: np.full((config.max_seeds, iters + 1), np.nan) for v in config.variants}
+    per_variant = {
+        v: np.full((config.max_seeds, config.outer_iters + 1), np.nan) for v in config.variants
+    }
 
-    def consume(seed, outcomes):
-        for (_, variant), (_, _, mse) in outcomes.items():
-            # the init MSE is exactly 1; iterations a diverged trace did not reach stay nan
-            per_variant[variant][seed, 0] = 1.0
-            per_variant[variant][seed, 1:1 + mse.shape[0]] = mse
-        return list(outcomes)
+    def record(seed, pair, result):
+        # the init MSE is exactly 1; iterations a diverged trace did not reach stay nan
+        mse = result.trace.mse
+        row = per_variant[pair[1]][seed]
+        row[0] = 1.0
+        row[1:1 + mse.shape[0]] = mse
+        return True
 
-    _iterate_blocks(code, config, consume)
-
+    _iterate_blocks(code, config, record)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a column no trial reached is nan
         summary = {
@@ -324,7 +325,11 @@ def mse_trace_experiment(config: SweepConfig):
             for v, arr in per_variant.items()
         }
     if config.output_path:
-        _write_mse_csv(config, summary)
+        _write_csv(config, "iteration,variant,mean_mse,median_mse,trials,diverged", (
+            f"{it},{v.value},{mean[it]:.10e},{median[it]:.10e},{config.max_seeds},{diverged[it]}"
+            for v, (mean, median, diverged) in summary.items()
+            for it in range(mean.shape[0])
+        ))
     return summary
 
 
@@ -342,38 +347,10 @@ def _atomic_write(path, text):
         raise
 
 
-def _metadata_lines(config):
-    if config.deterministic:
-        return []
-    return [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
-
-
-def _write_ber_csv(config, code, code_label, points):
-    lines = _metadata_lines(config)
-    lines.append(
-        "snr_db,variant,code,n,k,h_mode,nonlinearity,frames,bits,bit_errors,"
-        "frame_errors,diverged,ber,fer,seed_base"
-    )
-    for p in points:
-        lines.append(
-            f"{p.snr_db:g},{p.variant.value},{code_label},{code.n},{code.k},"
-            f"{config.h_mode},{config.nonlinearity},{p.frames},{p.bits_simulated},"
-            f"{p.bit_errors},{p.frame_errors},{p.diverged_frames},"
-            f"{p.ber:.6e},{p.fer:.6e},{config.master_seed}"
-        )
-    _atomic_write(config.output_path, "\n".join(lines) + "\n")
-
-
-def _write_mse_csv(config, summary):
-    lines = _metadata_lines(config)
-    lines.append("iteration,variant,mean_mse,median_mse,trials,diverged")
-    for variant, (mean, median, diverged) in summary.items():
-        for it in range(mean.shape[0]):
-            lines.append(
-                f"{it},{variant.value},{mean[it]:.10e},{median[it]:.10e},{config.max_seeds},"
-                f"{diverged[it]}"
-            )
-    _atomic_write(config.output_path, "\n".join(lines) + "\n")
+def _write_csv(config, header, rows):
+    """Write the header and rows, under a timestamp comment unless ``deterministic``."""
+    stamp = [] if config.deterministic else [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
+    _atomic_write(config.output_path, "\n".join([*stamp, header, *rows]) + "\n")
 
 
 def wilson_interval(errors, trials, z=1.96):

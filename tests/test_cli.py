@@ -157,7 +157,10 @@ def test_bad_variant_is_usage_error(small_code_path, tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--snr-db", "6,6"], ["--snr-db", "6,6.0"],
                                    ["--variant", "scvamp3,llr-turbo,scvamp3"],
                                    # a non-finite range bound or step
-                                   ["--snr-db", "3:inf:1"], ["--snr-db", "3:9:inf"]])
+                                   ["--snr-db", "3:inf:1"], ["--snr-db", "3:9:inf"],
+                                   # two floats printed as one CSV label, and one float
+                                   # printed as two labels
+                                   ["--snr-db", "6,6.000001"], ["--snr-db", "0,-0"]])
 def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
@@ -166,7 +169,9 @@ def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
 
 
 def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
-    for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32"):
+    for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32",
+                   # int() takes these, but a size is ASCII digits only
+                   "blockdiag:32\n", "blockdiag:\uff13\uff12", "blockdiag: 3_2"):
         with pytest.raises(SystemExit) as err:
             parse_cli(["--snr-db", "6", "--code", small_code_path, "--h", h_mode,
                        "--out", str(tmp_path / "o.csv")])

@@ -102,6 +102,33 @@ def test_each_experiment_picks_its_stop_rule(monkeypatch):
     assert seen == [False] * 4
 
 
+def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
+    # the dispatcher alone keeps the active set: a pair whose record returns False is never
+    # recorded again, and the blocks dispatched after that leave it out of their work
+    config = SweepConfig(snr_db_list=(4.0, 6.0), code="builtin:r12-n128", h_mode="iid:96x128",
+                         max_seeds=40, master_seed=100)
+    pair_a, pair_b = config.pairs
+    works = {}
+
+    def stub(code, config, seed, work):
+        works[seed] = list(work)
+        return {pair: (seed, pair) for pair in work}
+
+    monkeypatch.setattr(scvamp.experiment, "_seed_outcomes", stub)
+    recorded = {pair_a: [], pair_b: []}
+
+    def record(seed, pair, result):
+        assert result == (100 + seed, pair)
+        recorded[pair].append(seed)
+        return pair != pair_a or seed < 3
+
+    scvamp.experiment._iterate_blocks(None, config, record)
+    assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
+    assert sorted(works) == list(range(100, 140))
+    assert all(works[100 + s] == [pair_a, pair_b] for s in range(16))
+    assert all(works[100 + s] == [pair_b] for s in range(16, 40))
+
+
 @pytest.mark.parametrize("workers, size", [(64, 16), (3, 3)])
 def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, size):
     sizes = []
