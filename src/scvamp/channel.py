@@ -44,11 +44,9 @@ class TrialScenario:
 
 @dataclass(frozen=True)
 class Realization:
-    """The drawn transmit side of one trial (shared across algorithm variants)."""
+    """One frame as drawn (shared across algorithm variants): its codeword and observation."""
 
-    info_bits: np.ndarray
     codeword: np.ndarray
-    symbols: np.ndarray
     y: np.ndarray
 
 
@@ -82,6 +80,5 @@ def realize(scenario: TrialScenario) -> Realization:
     """Draw the full transmit side of a trial from the scenario seed."""
     info = substream(scenario.seed, "bits").integers(0, 2, size=scenario.code.k, dtype=np.uint8)
     codeword = encode(scenario.code, info)
-    x = bpsk(codeword)
-    return Realization(info, codeword, x, transmit(x, scenario))
+    return Realization(codeword, transmit(bpsk(codeword), scenario))
 

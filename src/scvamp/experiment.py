@@ -131,7 +131,7 @@ class BerPoint:
 
 
 def parse_h_mode(text):
-    """Parse 'iid:MxN' or 'blockdiag:B' into a structured tuple; sizes are ASCII digits, >= 1."""
+    """Parse 'iid:MxN' or 'blockdiag:B' into a tuple; sizes are plain decimals >= 1."""
     kind, _, rest = text.partition(":")
     if kind == "iid":
         m_txt, _, n_txt = rest.partition("x")
@@ -140,7 +140,8 @@ def parse_h_mode(text):
         fields, form = (rest,), "blockdiag:B"
     else:
         raise ValueError(f"unknown H mode {text!r}; use iid:MxN or blockdiag:B")
-    if not all(f.isascii() and f.isdigit() for f in fields):  # int() also takes " 3_2\n"
+    # int() also takes " 3_2\n" and "032"; a size is written as int() prints it back
+    if not all(f.isascii() and f.isdigit() and str(int(f)) == f for f in fields):
         raise ValueError(f"malformed {kind} mode {text!r}, expected {form}")
     sizes = tuple(int(f) for f in fields)
     if min(sizes) < 1:
@@ -214,8 +215,8 @@ def _seed_outcomes(code, config, seed, work):
         truth = realize(scenario)
         for _, variant in at_snr:
             out[snr_db, variant] = run_variant(
-                variant, truth.y, scenario, config.outer_iters, config.bp_iters,
-                early_stop=config.experiment == "ber", truth=truth,
+                variant, truth, scenario, config.outer_iters, config.bp_iters,
+                early_stop=config.experiment == "ber",
             )
     return out
 
@@ -264,6 +265,7 @@ def _iterate_blocks(code, config, record):
 
 def ber_sweep(config: SweepConfig):
     """Adaptive-seeding BER sweep; returns BerPoints and writes the CSV if asked."""
+    config = replace(config, experiment="ber")  # a BER frame stops at convergence
     code, code_label = load_code(config.code)
     tallies = {pair: BerPoint(*pair) for pair in config.pairs}
 

@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channel import Realization, TrialScenario
+from .channel import Realization, TrialScenario, bpsk
 from .coupling import coupling_posterior
 from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
 from .likelihood import ChannelSpec, likelihood_step
@@ -105,35 +105,29 @@ class DecodeResult:
     diverged: bool = False
 
 
-def hard_decision(means) -> np.ndarray:
-    """Symbol decisions from posterior means; an exact zero breaks to +1."""
-    return np.where(np.asarray(means) >= 0.0, 1.0, -1.0)
-
-
 def _posterior_message(post: PosteriorSummary) -> GaussianMessage:
     return GaussianMessage(post.mean, max(post.variance, _VARIANCE_FLOOR))
 
 
 def run_variant(
     variant: Variant,
-    y,
+    truth: Realization,
     scenario: TrialScenario,
     outer_iters: int,
     bp_iters: int,
     *,
     early_stop: bool = False,
-    truth: Realization,
 ) -> DecodeResult:
     """Run one receiver variant for ``outer_iters`` iterations on one frame.
 
-    ``truth`` is required: the realization that produced ``y``, whose
-    transmitted symbols score the MSE trace and whose codeword scores the
-    bit errors.
+    The receiver sees only the frame's observation ``truth.y``; its codeword
+    scores the MSE trace (as BPSK symbols) and the bit errors.  A mean below
+    zero decides bit 1, so an exact zero of either sign decides bit 0.
     """
     if int(outer_iters) < 1:
         raise ValueError(f"outer_iters must be >= 1, got {outer_iters}")
     policy = POLICIES[Variant(variant)]
-    y = np.asarray(y, dtype=np.float64)
+    y, symbols = truth.y, bpsk(truth.codeword)
     code, mix, spec = scenario.code, scenario.h, scenario.spec
     model = ChannelSpec("id", spec.noise_variance) if policy.identity_model else spec
     n = code.n
@@ -143,7 +137,7 @@ def run_variant(
 
     mse, vxs, vws, alphas = [], [], [], []
     x_hat = np.zeros(n)
-    prev_hard = None
+    prev_bits = None
     converged_at = None
     diverged = False
 
@@ -168,20 +162,20 @@ def run_variant(
             ext_w, post_a = likelihood_step(to_observer, y, model)
             rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
 
-            mse.append(float(np.mean((x_hat - truth.symbols) ** 2)))
+            mse.append(float(np.mean((x_hat - symbols) ** 2)))
             vxs.append(rx_msg.variance)
             vws.append(rw_msg.variance)
             alphas.append((x_post_c.alpha, post_a.alpha, post_b.alpha))
 
-            hard = hard_decision(x_hat)
+            bits = (x_hat < 0).astype(np.uint8)
             if (
                 converged_at is None
-                and prev_hard is not None
-                and np.array_equal(hard, prev_hard)
-                and not syndrome(code, (hard < 0).astype(np.uint8)).any()
+                and prev_bits is not None
+                and np.array_equal(bits, prev_bits)
+                and not syndrome(code, bits).any()
             ):
                 converged_at = t
-            prev_hard = hard
+            prev_bits = bits
             if early_stop and converged_at is not None:
                 break
     except DivergenceError:
@@ -191,8 +185,7 @@ def run_variant(
         np.asarray(mse), np.asarray(vxs), np.asarray(vws),
         np.asarray(alphas).reshape(len(mse), 3),
     )
-    hard = hard_decision(x_hat)
-    hard_bits = (hard < 0).astype(np.uint8)
+    hard_bits = (x_hat < 0).astype(np.uint8)
     if diverged:
         bit_errors = n
     else:

@@ -169,8 +169,8 @@ def test_criterion_06_identity_reduction():
     for seed in range(3):
         scenario = build_scenario(code, "iid:128x128", 6.0, "id", seed)
         truth = realize(scenario)
-        a = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
-        b = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
+        a = run_variant(Variant.SCVAMP3, truth, scenario, 20, 20)
+        b = run_variant(Variant.SCVAMP2_MISMATCHED, truth, scenario, 20, 20)
         worst_trace = max(
             worst_trace,
             float(np.max(np.abs(a.trace.mse - b.trace.mse))),
@@ -209,7 +209,7 @@ def test_criterion_08_mse_convergence_analogue():
         scenario = build_scenario(code, "iid:128x128", 6.0, "id", seed)
         truth = realize(scenario)
         for v in variants:
-            res = run_variant(v, truth.y, scenario, 20, 20, truth=truth)
+            res = run_variant(v, truth, scenario, 20, 20)
             finals[v].append(res.trace.mse[-1])
     med = float(np.median(finals[Variant.SCVAMP3]))
     mean_no = float(np.mean(finals[Variant.NO_ONSAGER]))

@@ -1,0 +1,53 @@
+"""The benchmark wraps the package from outside; a renamed or reshaped layer must fail here.
+
+``bench/tracer.py`` replaces named attributes of the package and reads
+positional arguments of the calls it wraps (``run_variant``'s variant and
+scenario, ``likelihood_step``'s observation, ``bp_decode``'s code and
+iteration count).  These tests load the benchmark's tracer and workload
+modules from their files, without changing them, and run one small traced
+sweep the way ``bench/run.py`` runs a pass.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from scvamp.experiment import SweepConfig, ber_sweep
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through sys.modules
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("module_name, attr, span", tracer.TRACED)
+def test_traced_name_exists(module_name, attr, span):
+    assert hasattr(importlib.import_module(module_name), attr)
+
+
+def test_traced_sweep_reaches_every_layer_and_records_each_frame():
+    config = SweepConfig(snr_db_list=(6.0,), code="builtin:r12-n128", h_mode="blockdiag:32",
+                         nonlinearity="tanh", min_errors=10**9, max_seeds=2,
+                         outer_iters=3, bp_iters=3)
+    trace = tracer.Tracer()
+    with tracer.patched(trace.replacements()):
+        (point,) = trace.span("experiment", lambda: ber_sweep(config))
+    trace.check_layers(workloads.LAYERS, "a two-frame r12-n128 sweep")
+    assert [(f[0], f[1], f[2], f[4]) for f in trace.frames] == [
+        ("scvamp3", 6.0, 0, 128), ("scvamp3", 6.0, 1, 128)]
+    assert sum(f[3] for f in trace.frames) == point.bit_errors
+    assert trace.counts["runner.outer_iters"] > 0
+    assert trace.counts["likelihood.components"] > 0
+    assert trace.counts["denoiser.edge_updates"] > 0

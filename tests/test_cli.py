@@ -171,7 +171,9 @@ def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
 def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
     for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32",
                    # int() takes these, but a size is ASCII digits only
-                   "blockdiag:32\n", "blockdiag:\uff13\uff12", "blockdiag: 3_2"):
+                   "blockdiag:32\n", "blockdiag:\uff13\uff12", "blockdiag: 3_2",
+                   # int() takes leading zeros too, but the CSV would keep them as written
+                   "blockdiag:032", "iid:0128x128"):
         with pytest.raises(SystemExit) as err:
             parse_cli(["--snr-db", "6", "--code", small_code_path, "--h", h_mode,
                        "--out", str(tmp_path / "o.csv")])
@@ -424,7 +426,7 @@ def test_mse_trace_leaves_out_diverged_iterations(small_code_path, tmp_path, mon
     # under llr-turbo every seed diverges at once
     traces = {0: [0.5], 1: [0.4, 0.3, 0.2, 0.1], 2: []}
 
-    def fake_run_variant(variant, y, scenario, outer_iters, bp_iters, **kwargs):
+    def fake_run_variant(variant, truth, scenario, outer_iters, bp_iters, **kwargs):
         mse = [] if variant is Variant.LLR_TURBO else traces[scenario.seed]
         diverged = len(mse) < outer_iters
         steps = len(mse)

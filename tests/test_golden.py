@@ -39,8 +39,7 @@ def compute_outcomes():
             scenario = build_scenario(code, h_mode, snr_db, nonlinearity, seed)
             truth = realize(scenario)
             for variant in Variant:
-                res = run_variant(variant, truth.y, scenario, OUTER_ITERS, BP_ITERS,
-                                  truth=truth)
+                res = run_variant(variant, truth, scenario, OUTER_ITERS, BP_ITERS)
                 record = {
                     "bit_errors": res.bit_errors,
                     "diverged": res.diverged,

@@ -10,11 +10,7 @@ from scvamp.denoiser import LdpcCode
 from scvamp.experiment import build_scenario
 from scvamp.likelihood import ChannelSpec
 from scvamp.messages import DivergenceError
-from scvamp.runner import (
-    Variant,
-    hard_decision,
-    run_variant,
-)
+from scvamp.runner import Variant, run_variant
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +30,14 @@ def test_variant_names():
         Variant("scvamp4")
 
 
-def test_hard_decision_tie_breaks_positive():
-    np.testing.assert_array_equal(hard_decision([0.0, -0.3, 0.2]), [1.0, -1.0, 1.0])
+def test_zero_mean_decides_bit_zero(code128, monkeypatch):
+    # a mean below zero decides bit 1; an exact zero of either sign decides bit 0
+    scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 3)
+    means = np.tile([0.0, -0.0, -0.3, 0.2], code128.n // 4)
+    monkeypatch.setattr(runner_mod, "bernoulli_moments", lambda llr: (means, 0.5))
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 1, 5)
+    assert not res.diverged
+    np.testing.assert_array_equal(res.hard_bits, np.tile([0, 0, 1, 0], code128.n // 4))
 
 
 def test_identity_channel_reduces_to_two_stage(code128):
@@ -47,8 +49,8 @@ def test_identity_channel_reduces_to_two_stage(code128):
                                          ("blockdiag:32", "tanh", 9.0)):
         scenario, truth = _trial(code128, h_mode, snr_db, nonlinearity, 3)
         identity = replace(scenario, spec=ChannelSpec("id", scenario.spec.noise_variance))
-        full = run_variant(Variant.SCVAMP3, truth.y, identity, 20, 20, truth=truth)
-        two = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
+        full = run_variant(Variant.SCVAMP3, truth, identity, 20, 20)
+        two = run_variant(Variant.SCVAMP2_MISMATCHED, truth, scenario, 20, 20)
         for name in ("mse", "v_x", "v_w", "alphas"):
             np.testing.assert_array_equal(getattr(full.trace, name).view(np.int64),
                                           getattr(two.trace, name).view(np.int64),
@@ -60,7 +62,7 @@ def test_identity_channel_reduces_to_two_stage(code128):
 
 def test_noiseless_identity_converges_fast(code128):
     scenario, truth = _trial(code128, "iid:128x128", 120.0, "id", 1)
-    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 8, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 8, 10)
     assert res.trace.mse[:5].min() < 1e-10
     assert res.bit_errors == 0
 
@@ -68,8 +70,8 @@ def test_noiseless_identity_converges_fast(code128):
 def test_no_onsager_single_iteration_matches_full(code128):
     # extrinsic vs posterior forwarding differs only from iteration 2 onward
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 5)
-    a = run_variant(Variant.SCVAMP3, truth.y, scenario, 1, 20, truth=truth)
-    b = run_variant(Variant.NO_ONSAGER, truth.y, scenario, 1, 20, truth=truth)
+    a = run_variant(Variant.SCVAMP3, truth, scenario, 1, 20)
+    b = run_variant(Variant.NO_ONSAGER, truth, scenario, 1, 20)
     np.testing.assert_array_equal(a.hard_bits, b.hard_bits)
     assert a.trace.mse[0] == pytest.approx(b.trace.mse[0], abs=1e-12)
 
@@ -77,7 +79,7 @@ def test_no_onsager_single_iteration_matches_full(code128):
 def test_llr_turbo_uncoded_degenerates_consistently():
     code = LdpcCode.from_checks(16, [])
     scenario, truth = _trial(code, "iid:16x16", 6.0, "id", 2)
-    res = run_variant(Variant.LLR_TURBO, truth.y, scenario, 5, 5, truth=truth)
+    res = run_variant(Variant.LLR_TURBO, truth, scenario, 5, 5)
     # the decoder adds nothing, so the x-side message stays non-informative
     np.testing.assert_allclose(res.trace.v_x, 1.0, rtol=1e-9)
     assert np.all(np.isfinite(res.trace.mse))
@@ -91,7 +93,7 @@ def test_divergence_aborts_and_scores_full_frame(code128, monkeypatch):
         raise DivergenceError("synthetic blow-up")
 
     monkeypatch.setattr(runner_mod, "coupling_posterior", explode)
-    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 5, 5, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 5, 5)
     assert res.diverged
     assert res.bit_errors == code128.n
     assert len(res.trace) == 0
@@ -101,7 +103,7 @@ def test_tanh_high_snr_decodes_majority(code128):
     errors = []
     for seed in range(9):
         scenario, truth = _trial(code128, "blockdiag:32", 10.0, "tanh", seed)
-        res = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP3, truth, scenario, 20, 20)
         errors.append(res.bit_errors)
     assert sum(e == 0 for e in errors) >= 5
 
@@ -110,7 +112,7 @@ def test_mismatched_on_tanh_never_improves(code128):
     # ignoring the nonlinearity leaves the error floor high at every iteration
     for seed in range(3):
         scenario, truth = _trial(code128, "blockdiag:32", 8.0, "tanh", seed)
-        res = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP2_MISMATCHED, truth, scenario, 20, 20)
         assert res.trace.mse.min() > 0.1
 
 
@@ -118,7 +120,7 @@ def test_mse_non_increasing_after_iteration_three(code128):
     good = 0
     for seed in range(20):
         scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", seed)
-        res = run_variant(Variant.SCVAMP3, truth.y, scenario, 20, 20, truth=truth)
+        res = run_variant(Variant.SCVAMP3, truth, scenario, 20, 20)
         if np.all(np.diff(res.trace.mse[2:]) <= 1e-12):
             good += 1
     assert good >= 18
@@ -126,23 +128,23 @@ def test_mse_non_increasing_after_iteration_three(code128):
 
 def test_trace_shape_and_alpha_logging(code128):
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 11)
-    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 7, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 7, 10)
     assert len(res.trace) == 7
     assert res.trace.alphas.shape == (7, 3)
     raw = res.trace.alphas[:, 0]
     assert np.all(np.isfinite(raw))
-    two = run_variant(Variant.SCVAMP2_MISMATCHED, truth.y, scenario, 4, 10, truth=truth)
+    two = run_variant(Variant.SCVAMP2_MISMATCHED, truth, scenario, 4, 10)
     obs = two.trace.alphas[:, 1]  # the identity stage's own ratio sigma2 / (v + sigma2)
     assert np.all((obs > 0.0) & (obs < 1.0))
 
 
 def test_converged_iteration_and_early_stop(code128):
     scenario, truth = _trial(code128, "iid:128x128", 120.0, "id", 13)
-    res = run_variant(Variant.SCVAMP3, truth.y, scenario, 15, 10, truth=truth)
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 15, 10)
     assert res.converged_iteration is not None
     assert res.converged_iteration <= 5
     assert len(res.trace) == 15  # fixed iteration count by default
-    stopped = run_variant(Variant.SCVAMP3, truth.y, scenario, 15, 10, truth=truth, early_stop=True)
+    stopped = run_variant(Variant.SCVAMP3, truth, scenario, 15, 10, early_stop=True)
     assert len(stopped.trace) == stopped.converged_iteration
 
 
@@ -158,7 +160,7 @@ def test_early_stop_moves_no_outcome(code128, h_mode, nonlinearity, snrs):
             scenario, truth = _trial(code128, h_mode, snr_db, nonlinearity, seed)
             for variant in Variant:
                 full, stopped = (
-                    run_variant(variant, truth.y, scenario, 20, 20, truth=truth, early_stop=stop)
+                    run_variant(variant, truth, scenario, 20, 20, early_stop=stop)
                     for stop in (False, True)
                 )
                 where = (seed, snr_db, variant.value)
@@ -172,7 +174,7 @@ def test_early_stop_moves_no_outcome(code128, h_mode, nonlinearity, snrs):
 def test_run_variant_rejects_bad_iteration_count(code128):
     scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 17)
     with pytest.raises(ValueError):
-        run_variant(Variant.SCVAMP3, truth.y, scenario, 0, 5, truth=truth)
+        run_variant(Variant.SCVAMP3, truth, scenario, 0, 5)
 
 
 def test_shared_realization_across_variants(code128):

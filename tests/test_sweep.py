@@ -100,6 +100,10 @@ def test_each_experiment_picks_its_stop_rule(monkeypatch):
     seen.clear()
     mse_trace_experiment(SweepConfig(**small, experiment="mse-trace"))
     assert seen == [False] * 4
+    seen.clear()
+    # the entry point, not the config's experiment field, picks the rule
+    ber_sweep(SweepConfig(**small, experiment="mse-trace"))
+    assert seen == [True] * 4
 
 
 def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
