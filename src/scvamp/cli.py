@@ -72,7 +72,7 @@ def parse_cli(argv=None) -> SweepConfig:
         if "variants" in fields:
             fields["variants"] = tuple(name for name in fields["variants"].split(",") if name)
         return SweepConfig(**fields)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the code file cannot be opened
         parser.error(str(exc))
 
 

@@ -14,39 +14,41 @@ import numpy as np
 
 from .denoiser import LdpcCode
 
+_VAR_DEGREE, _CHECK_DEGREE = 3, 6
+_MAX_TRIES = 50  # seeds make_regular_code tries, from the given one up
 
-def make_regular_checks(n, seed, var_degree=3, check_degree=6):
-    """Check adjacency of an (var_degree, check_degree)-regular code, or None.
+
+def make_regular_checks(n, seed):
+    """Check adjacency of a (3,6)-regular code, or None.
 
     Returns a list of variable-index lists, one per check, when the greedy
     placement succeeds; returns ``None`` when it jams (callers retry with
     another seed).  A placed code is 4-cycle free and exactly regular by
     construction.  Variables are placed in order, and a variable never joins
     a check that shares a variable with the checks it already joined, so no
-    two checks share two variables.  All n * var_degree edges land in m
-    checks of at most check_degree each, and n * var_degree = m *
-    check_degree, so every check ends at exactly check_degree.
+    two checks share two variables.  All 3n edges land in m = n/2 checks of
+    at most 6 each, so every check ends at exactly 6.
     """
     n = int(n)
-    if (n * var_degree) % check_degree != 0:
+    if (n * _VAR_DEGREE) % _CHECK_DEGREE != 0:
         raise ValueError(
-            f"n*{var_degree} must be divisible by {check_degree} for a regular code"
+            f"n*{_VAR_DEGREE} must be divisible by {_CHECK_DEGREE} for a regular code"
         )
-    m = n * var_degree // check_degree
+    m = n * _VAR_DEGREE // _CHECK_DEGREE
     rng = np.random.default_rng(seed)
     check_vars = [set() for _ in range(m)]
     var_checks = [[] for _ in range(n)]
     degree = np.zeros(m, dtype=np.int64)
 
     for v in range(n):
-        for _ in range(var_degree):
+        for _ in range(_VAR_DEGREE):
             taken = set(var_checks[v])
             neighbor_vars = set()
             for c in var_checks[v]:
                 neighbor_vars |= check_vars[c]
             candidates = [
                 c for c in range(m)
-                if degree[c] < check_degree
+                if degree[c] < _CHECK_DEGREE
                 and c not in taken
                 and check_vars[c].isdisjoint(neighbor_vars)
             ]
@@ -62,19 +64,19 @@ def make_regular_checks(n, seed, var_degree=3, check_degree=6):
     return [sorted(check_vars[c]) for c in range(m)]
 
 
-def make_regular_code(n, seed, var_degree=3, check_degree=6, max_tries=50) -> LdpcCode:
+def make_regular_code(n, seed) -> LdpcCode:
     """Regular code at length n: retries seeds until regular, girth >= 6, full rank.
 
     The returned code always has ``k = n - m`` (no redundant rows), so the
     bundled rate-1/2 codes carry exactly ``n/2`` information bits.
     """
-    for attempt in range(max_tries):
-        checks = make_regular_checks(n, int(seed) + attempt, var_degree, check_degree)
+    for attempt in range(_MAX_TRIES):
+        checks = make_regular_checks(n, int(seed) + attempt)
         if checks is not None:
             code = LdpcCode.from_checks(n, checks)
             if not code.redundant_checks:
                 return code
     raise RuntimeError(
-        f"no regular ({var_degree},{check_degree}) code of length {n} found "
-        f"within {max_tries} seeds starting at {seed}"
+        f"no regular ({_VAR_DEGREE},{_CHECK_DEGREE}) code of length {n} found "
+        f"within {_MAX_TRIES} seeds starting at {seed}"
     )

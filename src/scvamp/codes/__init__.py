@@ -1,16 +1,20 @@
-"""Bundled rate-1/2 regular (3,6) LDPC codes in alist form.
+"""Code references: ``builtin:<id>`` names a bundled alist file, anything else a path.
 
-Generated once with :mod:`scvamp.codegen` (4-cycle free, full rank) and
-shipped as package data; user-supplied alist files are accepted everywhere a
-builtin id is.  ``make_regular_code(128, seed=2)`` and ``seed=1`` at 256,
-512, 1056 and 2304 rebuild the shipped checks exactly.
+Both kinds resolve, fit ``--h`` and load the same way.  :func:`code_length`
+reads the header alone, so a sweep rejects a bad reference or an unfitting
+``--h`` before any frame; only a malformed body waits for :func:`load_code`.
+The builtins are rate-1/2 regular (3,6) codes (4-cycle free, full rank) that
+``scvamp.codegen.make_regular_code(128, seed=2)`` and ``seed=1`` at 256, 512,
+1056 and 2304 rebuild exactly.
 """
 
 from __future__ import annotations
 
+import os
 from importlib import resources
+from pathlib import Path
 
-from ..denoiser import LdpcCode, parse_alist
+from ..denoiser import parse_alist
 
 BUILTIN_CODES = {
     "r12-n128": "r12_n128.alist",
@@ -25,18 +29,30 @@ def builtin_code_ids():
     return sorted(BUILTIN_CODES)
 
 
-def builtin_code_file(code_id):
-    """The packaged alist file of a builtin id; ValueError on an unknown id."""
+def _resolve(ref):
+    """``(file, CSV label)`` of a code reference; the label is the builtin id or the file stem."""
+    if not ref.startswith("builtin:"):
+        return Path(ref), os.path.splitext(os.path.basename(ref))[0]
+    code_id = ref[len("builtin:"):]
     if code_id not in BUILTIN_CODES:
         raise ValueError(f"unknown builtin code {code_id!r}; known: {builtin_code_ids()}")
-    return resources.files(__package__).joinpath(BUILTIN_CODES[code_id])
+    return resources.files(__package__).joinpath(BUILTIN_CODES[code_id]), code_id
 
 
-def builtin_code_length(code_id) -> int:
-    """Block length n of a builtin code, read from its alist header line alone."""
-    with builtin_code_file(code_id).open("r", encoding="ascii") as fh:
-        return int(fh.readline().split()[0])
+def code_label(ref):
+    return _resolve(ref)[1]
 
 
-def load_builtin(code_id) -> LdpcCode:
-    return parse_alist(builtin_code_file(code_id).read_text("ascii"))
+def code_length(ref) -> int:
+    """Block length n from the alist header ``n m``, the first non-empty line alone."""
+    with _resolve(ref)[0].open("rb") as fh:
+        header = next((line.split() for line in fh if line.strip()), [])
+    if len(header) != 2 or not all(tok.isdigit() for tok in header) or int(header[0]) < 1:
+        raise ValueError(f"code file {ref!r} does not start with an alist header 'n m'")
+    return int(header[0])
+
+
+def load_code(ref):
+    """``(code, label)`` of a code reference; a malformed body raises AlistParseError."""
+    path, label = _resolve(ref)
+    return parse_alist(path.read_text(encoding="ascii")), label

@@ -282,11 +282,6 @@ def parse_alist(text) -> LdpcCode:
     return LdpcCode.from_checks(n, checks)
 
 
-def load_alist(path) -> LdpcCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_alist(fh.read())
-
-
 def serialize_alist(code: LdpcCode) -> str:
     """Render a code back to alist text (sorted adjacency, zero-padded)."""
     n, m = code.n, code.num_checks

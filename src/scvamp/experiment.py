@@ -35,12 +35,13 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import TrialScenario, gen_h, realize, substream
-from .codes import builtin_code_length, load_builtin
-from .denoiser import LdpcCode, load_alist
+from .codes import code_label, code_length, load_code
+from .denoiser import LdpcCode
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
 
 _BLOCK_SIZE = 16  # fixed dispatch granularity, independent of worker count
+_Z = 1.96  # two-sided 95% normal quantile of wilson_interval
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.output_path is not None:  # fail now, not after the last frame
+            if not self.output_path:
+                raise ValueError("output path must not be empty")
             if os.path.isdir(self.output_path):
                 raise ValueError(f"output path {self.output_path!r} is a directory")
             # not abspath, which drops the trailing separator of "missing/"
@@ -86,9 +89,7 @@ class SweepConfig:
         label = code_label(self.code)
         if not label.isascii() or set(label) & set(",\r\n"):
             raise ValueError(f"CSV code label {label!r} must be ASCII with no comma or line break")
-        parse_h_mode(self.h_mode)
-        if self.code.startswith("builtin:"):  # an alist path is read only when the run starts
-            fit_h_mode(self.h_mode, builtin_code_length(label))
+        fit_h_mode(self.h_mode, code_length(self.code))
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         # two points must differ as numbers (0 and -0 do not) and as CSV labels (6 and 6.000001)
         snrs = self.snr_db_list
@@ -130,51 +131,30 @@ class BerPoint:
         return self.frame_errors / self.frames if self.frames else 0.0
 
 
-def parse_h_mode(text):
-    """Parse 'iid:MxN' or 'blockdiag:B' into a tuple; sizes are plain decimals >= 1."""
-    kind, _, rest = text.partition(":")
+def fit_h_mode(h_mode, n):
+    """``(rows, cols, repeats)`` of the mixing matrix ``h_mode`` gives a length-n code.
+
+    ``iid:MxN`` is one M x N block and needs N = n; ``blockdiag:B`` repeats a
+    B x B block n / B times and needs B to divide n.  Sizes are plain
+    decimals >= 1.  Anything else is a ValueError.
+    """
+    kind, _, rest = h_mode.partition(":")
     if kind == "iid":
         m_txt, _, n_txt = rest.partition("x")
         fields, form = (m_txt, n_txt), "iid:MxN"
     elif kind == "blockdiag":
         fields, form = (rest,), "blockdiag:B"
     else:
-        raise ValueError(f"unknown H mode {text!r}; use iid:MxN or blockdiag:B")
+        raise ValueError(f"unknown H mode {h_mode!r}; use iid:MxN or blockdiag:B")
     # int() also takes " 3_2\n" and "032"; a size is written as int() prints it back
     if not all(f.isascii() and f.isdigit() and str(int(f)) == f for f in fields):
-        raise ValueError(f"malformed {kind} mode {text!r}, expected {form}")
-    sizes = tuple(int(f) for f in fields)
-    if min(sizes) < 1:
-        raise ValueError(f"H mode {text!r} needs sizes of at least 1")
-    return (kind, *sizes)
-
-
-def fit_h_mode(h_mode, n):
-    """``(rows, cols, repeats)`` of the mixing matrix ``h_mode`` gives a length-n code.
-
-    ``iid:MxN`` is one M x N block and needs N = n; ``blockdiag:B`` repeats a
-    B x B block n / B times and needs B to divide n.  Anything else is a
-    ValueError.
-    """
-    kind, *sizes = parse_h_mode(h_mode)
-    rows, cols = sizes[0], sizes[-1]
+        raise ValueError(f"malformed {kind} mode {h_mode!r}, expected {form}")
+    rows, cols = int(fields[0]), int(fields[-1])
+    if min(rows, cols) < 1:
+        raise ValueError(f"H mode {h_mode!r} needs sizes of at least 1")
     if n % cols or (kind == "iid" and cols != n):
         raise ValueError(f"H mode {h_mode!r} does not fit the code length {n}")
     return rows, cols, n // cols
-
-
-def code_label(spec_text):
-    """The CSV ``code`` column of a code reference: the builtin id or the alist file's stem."""
-    if spec_text.startswith("builtin:"):
-        return spec_text.split(":", 1)[1]
-    return os.path.splitext(os.path.basename(spec_text))[0]
-
-
-def load_code(spec_text):
-    """Resolve a code reference to (code, label) from builtin ids or a path."""
-    label = code_label(spec_text)
-    code = load_builtin(label) if spec_text.startswith("builtin:") else load_alist(spec_text)
-    return code, label
 
 
 def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
@@ -355,12 +335,12 @@ def _write_csv(config, header, rows):
     _atomic_write(config.output_path, "\n".join([*stamp, header, *rows]) + "\n")
 
 
-def wilson_interval(errors, trials, z=1.96):
-    """Wilson score interval for a binomial rate; (0, 1) bounds on no data."""
+def wilson_interval(errors, trials):
+    """95% Wilson score interval for a binomial rate; (0, 1) bounds on no data."""
     if trials <= 0:
         return 0.0, 1.0
     p = errors / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + _Z * _Z / trials
+    center = (p + _Z * _Z / (2 * trials)) / denom
+    half = _Z * np.sqrt(p * (1.0 - p) / trials + _Z * _Z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)

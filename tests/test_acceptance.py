@@ -19,7 +19,7 @@ from oracles import (
     trapezoid_tanh_moments,
 )
 from scvamp.channel import realize
-from scvamp.codes import BUILTIN_CODES, load_builtin
+from scvamp.codes import BUILTIN_CODES, load_code
 from scvamp.coupling import coupling_posterior, precompute
 from scvamp.denoiser import LdpcCode, bp_decode, parse_alist, serialize_alist
 from scvamp.experiment import SweepConfig, ber_sweep, build_scenario, wilson_interval
@@ -155,7 +155,7 @@ def test_criterion_05_extrinsic_roundtrip():
 
 
 def test_criterion_06_identity_reduction():
-    code = load_builtin("r12-n128")
+    code = load_code("builtin:r12-n128")[0]
     spec = ChannelSpec("id", 0.25)
     rng = np.random.default_rng(106)
     y = rng.normal(size=128)
@@ -202,7 +202,7 @@ def test_criterion_07_blockdiag_fast_path():
 
 
 def test_criterion_08_mse_convergence_analogue():
-    code = load_builtin("r12-n128")
+    code = load_code("builtin:r12-n128")[0]
     variants = (Variant.SCVAMP3, Variant.NO_ONSAGER, Variant.LLR_TURBO)
     finals = {v: [] for v in variants}
     for seed in range(50):
@@ -328,7 +328,7 @@ def test_criterion_11_deterministic_sweeps(tmp_path):
 def test_criterion_12_alist_roundtrip_all_bundled():
     bad = []
     for code_id in sorted(BUILTIN_CODES):
-        code = load_builtin(code_id)
+        code = load_code(f"builtin:{code_id}")[0]
         again = parse_alist(serialize_alist(code))
         same = (
             again.n == code.n and again.k == code.k

@@ -13,13 +13,14 @@ import pytest
 
 from scvamp.cli import build_parser, main, parse_cli
 from scvamp.codegen import make_regular_code
+from scvamp.codes import load_code
 from scvamp.denoiser import serialize_alist
 from scvamp.experiment import (
     SweepConfig,
     _atomic_write,
     ber_sweep,
+    fit_h_mode,
     mse_trace_experiment,
-    parse_h_mode,
     wilson_interval,
 )
 from scvamp.runner import DecodeResult, IterationTrace, Variant
@@ -180,11 +181,13 @@ def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
         assert err.value.code == 2, h_mode
 
 
-def test_parse_h_mode():
-    assert parse_h_mode("iid:6x4") == ("iid", 6, 4)
-    assert parse_h_mode("blockdiag:32") == ("blockdiag", 32)
-    with pytest.raises(ValueError):
-        parse_h_mode("iid:6")
+def test_fit_h_mode():
+    assert fit_h_mode("iid:6x4", 4) == (6, 4, 1)
+    assert fit_h_mode("blockdiag:32", 128) == (32, 32, 4)
+    with pytest.raises(ValueError, match="malformed iid mode"):
+        fit_h_mode("iid:6", 6)
+    with pytest.raises(ValueError, match="does not fit the code length 4"):
+        fit_h_mode("iid:6x6", 4)
 
 
 def test_sweep_config_validation(small_code_path):
@@ -257,6 +260,32 @@ def test_bad_out_is_usage_error(small_code_path, tmp_path, out):
         main(_base_args(small_code_path, os.path.join(tmp_path, out)))  # keeps a trailing "/"
     assert err.value.code == 2
     assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]  # no CSV, no .tmp
+
+
+@pytest.mark.parametrize("code, h_mode", [
+    ("missing.alist", "iid:128x128"),
+    ("headless.alist", "iid:128x128"),  # the first line is not "n m"
+    ("n128.alist", "blockdiag:48"),
+    ("n128.alist", "iid:128x64"),
+])
+def test_alist_reference_is_checked_before_any_frame(tmp_path, code, h_mode):
+    # an alist file resolves and fits --h as a builtin id does
+    text = serialize_alist(load_code("builtin:r12-n128")[0])
+    (tmp_path / "n128.alist").write_text(text)
+    (tmp_path / "headless.alist").write_text("128\n" + text.split("\n", 1)[1])
+    with pytest.raises(SystemExit) as err:
+        main(["--snr-db", "6", "--code", str(tmp_path / code), "--h", h_mode,
+              "--out", str(tmp_path / "o.csv")])
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["ber", "mse-trace"])
+def test_empty_out_is_usage_error(small_code_path, experiment):
+    # an empty path would run the whole sweep and then write nothing
+    with pytest.raises(SystemExit) as err:
+        main(_base_args(small_code_path, "") + ["--experiment", experiment])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("name", ["my,code", "my\ncode", "my\u00f8code"])
@@ -504,10 +533,14 @@ def test_main_end_to_end_mse_trace(small_code_path, tmp_path):
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):
-    rc = main(["--snr-db", "6", "--code", str(tmp_path / "missing.alist"),
+    # the header fits --h, so the broken body is found only when the run loads the code
+    code_path = tmp_path / "broken.alist"
+    code_path.write_text("48 24\n3 6\n")
+    rc = main(["--snr-db", "6", "--code", str(code_path),
                "--h", "iid:48x48", "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_builtin_code_reference(tmp_path):
@@ -522,12 +555,9 @@ def test_builtin_code_reference(tmp_path):
 
 
 def test_h_code_dimension_mismatch(small_code_path):
-    cfg = SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="iid:48x32")
-    with pytest.raises(ValueError):
-        ber_sweep(cfg)
-    cfg2 = SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode="blockdiag:32")
-    with pytest.raises(ValueError):
-        ber_sweep(cfg2)
+    for h_mode in ("iid:48x32", "blockdiag:32"):
+        with pytest.raises(ValueError, match="does not fit the code length 48"):
+            SweepConfig(snr_db_list=(6.0,), code=small_code_path, h_mode=h_mode)
 
 
 def test_wilson_interval_sanity():

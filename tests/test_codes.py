@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from scvamp.codegen import make_regular_code
-from scvamp.codes import builtin_code_ids, load_builtin
+from scvamp.codes import builtin_code_ids, load_code
 
 
 @pytest.mark.parametrize("code_id", builtin_code_ids())
 def test_builtin_code_is_regular_four_cycle_free_full_rank(code_id):
-    code = load_builtin(code_id)
+    code = load_code(f"builtin:{code_id}")[0]
     assert [len(c) for c in code.checks] == [6] * code.num_checks
     np.testing.assert_array_equal(np.bincount(np.concatenate(code.checks), minlength=code.n),
                                   np.full(code.n, 3))
@@ -25,7 +25,7 @@ def test_builtin_code_is_regular_four_cycle_free_full_rank(code_id):
 # 1056 and 2304 rebuild too (seed 1), but placing their checks takes seconds
 @pytest.mark.parametrize("n, seed", [(128, 2), (256, 1), (512, 1)])
 def test_recorded_seed_rebuilds_builtin_code(n, seed):
-    shipped = load_builtin(f"r12-n{n}").checks
+    shipped = load_code(f"builtin:r12-n{n}")[0].checks
     rebuilt = make_regular_code(n, seed=seed).checks
     assert len(rebuilt) == len(shipped)
     for row, (got, want) in enumerate(zip(rebuilt, shipped)):

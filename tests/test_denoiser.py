@@ -9,7 +9,7 @@ from oracles import (
     reference_bp_decode,
 )
 from scvamp.codegen import make_regular_code
-from scvamp.codes import builtin_code_ids, load_builtin
+from scvamp.codes import builtin_code_ids, load_code
 from scvamp.denoiser import (
     LLR_MAX,
     AlistParseError,
@@ -225,7 +225,7 @@ _ORACLE_CODES = {
     "one-check": lambda: LdpcCode.from_checks(11, [list(range(11))]),
     "one-variable": lambda: LdpcCode.from_checks(1, [[0]] * 10),
     "empty-checks": lambda: LdpcCode.from_checks(4, [[], [0, 1], []]),
-    **{cid: (lambda cid=cid: load_builtin(cid)) for cid in builtin_code_ids()},
+    **{cid: (lambda cid=cid: load_code(f"builtin:{cid}")[0]) for cid in builtin_code_ids()},
 }
 
 

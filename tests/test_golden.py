@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from scvamp.channel import realize
-from scvamp.codes import load_builtin
+from scvamp.codes import load_code
 from scvamp.experiment import build_scenario
 from scvamp.runner import Variant, run_variant
 
@@ -32,7 +32,7 @@ def _hex(values):
 
 
 def compute_outcomes():
-    code = load_builtin("r12-n128")
+    code = load_code("builtin:r12-n128")[0]
     out = {}
     for h_mode, nonlinearity, snr_db in CASES:
         for seed in SEEDS:

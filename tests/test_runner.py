@@ -5,7 +5,7 @@ import pytest
 
 import scvamp.runner as runner_mod
 from scvamp.channel import realize
-from scvamp.codes import load_builtin
+from scvamp.codes import load_code
 from scvamp.denoiser import LdpcCode
 from scvamp.experiment import build_scenario
 from scvamp.likelihood import ChannelSpec
@@ -15,7 +15,7 @@ from scvamp.runner import Variant, run_variant
 
 @pytest.fixture(scope="module")
 def code128():
-    return load_builtin("r12-n128")
+    return load_code("builtin:r12-n128")[0]
 
 
 def _trial(code, h_mode, snr_db, nonlinearity, seed):
