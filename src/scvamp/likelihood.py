@@ -74,7 +74,11 @@ class ChannelSpec:
 
     @classmethod
     def from_snr_db(cls, snr_db, nonlinearity):
-        return cls(nonlinearity, 10.0 ** (-float(snr_db) / 10.0))
+        try:
+            noise_variance = 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:  # below about -3083 dB
+            raise ValueError(f"SNR {snr_db} dB is out of range") from None
+        return cls(nonlinearity, noise_variance)
 
 
 @dataclass(frozen=True)

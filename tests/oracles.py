@@ -27,6 +27,46 @@ def dense_coupling(h, rx_mean, vx, rw_mean, vw):
     return x_mean, w_mean, v_post_x, v_post_w, v_post_x / vx, v_post_w / vw
 
 
+def gram_side_coupling(block, repeats, rx, rw):
+    """LMMSE coupling on the n_b x n_b gram ``A^T A`` of ``H = I_R ⊗ block``.
+
+    The N-side form of ``coupling.precompute`` and ``coupling_posterior``,
+    with the same floating-point operations in the same order: square and
+    tall blocks must match it bit for bit.  Returns the clamped, tiled
+    eigenvalues, the basis, and the x- and w-side ``(mean, variance, alpha)``.
+    """
+    a = np.asarray(block, dtype=np.float64)
+    lam, u = np.linalg.eigh(a.T @ a)
+    lam = np.tile(np.maximum(lam, 0.0), repeats)
+    vx, vw = rx.variance, rw.variance
+    ratios = vw / (vw + vx * lam)
+    sigma2 = vx * ratios
+    rhs = rx.mean / vx + (a.T @ rw.mean.reshape(repeats, -1, 1)).reshape(-1) / vw
+    shape = (repeats, u.shape[0])
+    x_mean = ((sigma2.reshape(shape) * (rhs.reshape(shape) @ u)) @ u.T).reshape(-1)
+    w_mean = (a @ x_mean.reshape(repeats, -1, 1)).reshape(-1)
+    alpha_x = float(np.mean(ratios))
+    v_post_w = float(np.sum(lam * sigma2) / (repeats * a.shape[0]))
+    return lam, u, (x_mean, vx * alpha_x, alpha_x), (w_mean, v_post_w, v_post_w / vw)
+
+
+def refined_coupling_mean(h, rx_mean, vx, rw_mean, vw):
+    """Posterior x mean ``r_x + v_x H^T z`` with ``(v_w I + v_x H H^T) z = r_w - H r_x``.
+
+    A dense float64 solve refined three times against residuals formed in
+    ``np.longdouble``.  For H of full row rank this M-side system stays well
+    conditioned however small v_w is, unlike the N-side precision matrix.
+    """
+    ld = np.longdouble
+    h = np.asarray(h, dtype=ld)
+    cov = ld(vw) * np.eye(h.shape[0], dtype=ld) + ld(vx) * (h @ h.T)
+    resid = np.asarray(rw_mean, dtype=ld) - h @ np.asarray(rx_mean, dtype=ld)
+    z = np.zeros(h.shape[0], dtype=ld)
+    for _ in range(3):
+        z = z + np.linalg.solve(cov.astype(np.float64), (resid - cov @ z).astype(np.float64))
+    return (np.asarray(rx_mean, dtype=ld) + ld(vx) * (h.T @ z)).astype(np.float64)
+
+
 def trapezoid_tanh_moments(r, v, y, sigma2, points=1_000_000):
     """Posterior moments under N(w; r, v) * N(y; tanh(w), sigma2), brute force."""
     w = np.linspace(r - 10.0 * np.sqrt(v), r + 10.0 * np.sqrt(v), points)

@@ -169,6 +169,18 @@ def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("snr", ["-4000", "4000", "6,-5000"])
+def test_snr_beyond_float_range_is_usage_error(small_code_path, tmp_path, capsys, snr):
+    # 10 ** 400 overflows a float and 10 ** -400 is zero: neither is a noise variance
+    args = _base_args(small_code_path, tmp_path / "o.csv")
+    args[args.index("--snr-db") + 1] = snr
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_bad_h_mode_is_usage_error(small_code_path, tmp_path):
     for h_mode in ("toeplitz:4", "blockdiag:0", "iid:0x128", "blockdiag:-32",
                    # int() takes these, but a size is ASCII digits only

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import dense_coupling, log_gaussian_coupling_normalizer
+from oracles import (
+    dense_coupling,
+    gram_side_coupling,
+    log_gaussian_coupling_normalizer,
+    refined_coupling_mean,
+)
 from scvamp.coupling import coupling_posterior, precompute
 from scvamp.messages import GaussianMessage, extrinsic
 
@@ -33,12 +38,19 @@ def test_precompute_matches_svd():
 
 
 def test_precompute_gram_reconstruction():
+    # the basis rebuilds the smaller gram; a wide block's N - M other eigenvalues are exact zeros
     rng = np.random.default_rng(6)
-    for m, n in [(6, 4), (3, 5), (16, 16)]:
+    for m, n in [(6, 4), (3, 5), (16, 16), (2, 9)]:
         h = rng.normal(size=(m, n))
         mix = precompute(h)
-        gram = mix.eigenvectors @ np.diag(mix.eigenvalues) @ mix.eigenvectors.T
-        np.testing.assert_allclose(gram, h.T @ h, atol=1e-10)
+        k = min(m, n)
+        assert mix.eigenvectors.shape == (k, k)
+        assert mix.eigenvalues.shape == (n,)
+        lam = mix.eigenvalues[:k]
+        gram = mix.eigenvectors @ np.diag(lam) @ mix.eigenvectors.T
+        np.testing.assert_allclose(gram, h @ h.T if m < n else h.T @ h, atol=1e-10)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(h @ h.T)[-k:], atol=1e-10)
+        assert np.all(mix.eigenvalues[k:] == 0.0)
 
 
 def test_precompute_eigenvalues_clamped_nonnegative():
@@ -242,6 +254,82 @@ def test_blockdiag_equals_per_block_concatenation():
     np.testing.assert_allclose(x_full.mean, np.concatenate(parts_x), atol=1e-12)
     np.testing.assert_allclose(w_full.mean, np.concatenate(parts_w), atol=1e-12)
     assert x_full.alpha == pytest.approx(np.mean(alphas), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape, repeats",
+                         [((128, 128), 1), ((32, 32), 72), ((6, 4), 1), ((5, 3), 3)])
+def test_square_and_tall_blocks_match_gram_side_oracle_bit_for_bit(shape, repeats):
+    rng = np.random.default_rng(19)
+    block = rng.normal(size=shape) / np.sqrt(shape[0])
+    mix = precompute(block, repeats)
+    rx = _msg(rng.normal(size=repeats * shape[1]), 0.7)
+    for vw in (1.3, 1e-6):
+        rw = _msg(rng.normal(size=repeats * shape[0]), vw)
+        lam, u, x_ref, w_ref = gram_side_coupling(block, repeats, rx, rw)
+        np.testing.assert_array_equal(mix.eigenvalues, lam)
+        np.testing.assert_array_equal(mix.eigenvectors, u)
+        x, w = coupling_posterior(rx, rw, mix)
+        for post, ref in ((x, x_ref), (w, w_ref)):
+            np.testing.assert_array_equal(post.mean, ref[0])
+            assert (post.variance, post.alpha) == ref[1:]
+
+
+def _wide_blocks():
+    rng = np.random.default_rng(20)
+    repeated_row = rng.normal(size=(4, 7))
+    repeated_row[2] = repeated_row[0]
+    return {
+        "96x128": (rng.normal(size=(96, 128)) / np.sqrt(96), 1),
+        "128x256": (rng.normal(size=(128, 256)) / np.sqrt(128), 1),
+        "3x12": (rng.normal(size=(3, 12)), 1),  # rank-deficient N-side gram
+        "zero 2x5": (np.zeros((2, 5)), 1),
+        "repeated row 4x7": (repeated_row, 1),
+        "3x5 x4": (rng.normal(size=(3, 5)), 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_wide_blocks()))
+def test_wide_block_matches_dense_and_gram_side_oracles(name):
+    block, repeats = _wide_blocks()[name]
+    h = np.kron(np.eye(repeats), block)
+    rng = np.random.default_rng(21)
+    mix = precompute(block, repeats)
+    for vx, vw in ((0.7, 1.3), (2.0, 1e-3)):
+        rx, rw = rng.normal(size=h.shape[1]), rng.normal(size=h.shape[0])
+        x, w = coupling_posterior(_msg(rx, vx), _msg(rw, vw), mix)
+        dense = dense_coupling(h, rx, vx, rw, vw)
+        _, _, (xs, vxs, axs), (ws, vws, aws) = gram_side_coupling(
+            block, repeats, _msg(rx, vx), _msg(rw, vw))
+        # both oracles lose digits in 1/v_w themselves, so the tolerance is criterion 1's
+        for ref in (dense, (xs, ws, vxs, vws, axs, aws)):
+            np.testing.assert_allclose(x.mean, ref[0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(w.mean, ref[1], rtol=0, atol=1e-10)
+            got = (x.variance, w.variance, x.alpha, w.alpha)
+            np.testing.assert_allclose(got, ref[2:], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["96x128", "128x256", "3x12", "zero 2x5", "3x5 x4"])
+def test_wide_block_stays_accurate_as_v_w_shrinks(name):
+    # the residual form keeps full accuracy where the N-side form loses digits in 1/v_w;
+    # a block with dependent rows is left out: its gram turns a zero singular value
+    # into a round-off eigenvalue, which either side then divides by v_w
+    block, repeats = _wide_blocks()[name]
+    h = np.kron(np.eye(repeats), block)
+    s2 = np.linalg.svd(h, compute_uv=False) ** 2
+    rng = np.random.default_rng(22)
+    mix = precompute(block, repeats)
+    vx = 0.7
+    for vw in (1.0, 1e-3, 1e-6, 1e-9):
+        rx, rw = rng.normal(size=h.shape[1]), rng.normal(size=h.shape[0])
+        x, w = coupling_posterior(_msg(rx, vx), _msg(rw, vw), mix)
+        ref = refined_coupling_mean(h, rx, vx, rw, vw)
+        err = np.max(np.abs(x.mean - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12, (vw, err)
+        np.testing.assert_array_equal(w.mean, mix.apply(x.mean))
+        alpha_x = (h.shape[1] - s2.size + np.sum(vw / (vw + vx * s2))) / h.shape[1]
+        v_post_w = np.sum(s2 * vx * vw / (vw + vx * s2)) / h.shape[0]
+        assert x.alpha == pytest.approx(alpha_x, rel=0, abs=1e-12)
+        assert w.variance == pytest.approx(v_post_w, rel=0, abs=1e-12)
 
 
 def test_dimension_mismatch_errors():

@@ -74,6 +74,12 @@ def test_channel_spec_snr():
     assert spec.snr_db == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, 4000.0, -1e308])
+def test_channel_spec_snr_out_of_float_range(snr_db):
+    with pytest.raises(ValueError):
+        ChannelSpec.from_snr_db(snr_db, "id")
+
+
 def test_identity_conjugate_example():
     spec = ChannelSpec("id", 1.0)
     m1, m2 = component_moments(0.0, 1.0, 1.0, spec)
