@@ -14,7 +14,8 @@ update clips ``|tanh|`` away from 1, which keeps every message finite without
 touching the error-rate floor at the SNRs of interest.
 
 The decoder works on a slot layout that ``LdpcCode.from_checks`` builds once
-per code.  Check-to-variable messages are a ``(d_c_max, m)`` array whose
+per code; it is the code's only per-edge structure, and ``syndrome`` XORs
+through it too.  Check-to-variable messages are a ``(d_c_max, m)`` array whose
 column ``i`` holds check ``i``'s edges in edge order, padded at the bottom;
 ``var_slots`` is a ``(d_v_max, n)`` array of the flat slots of each
 variable's edges in edge order, whose pads read a 0.0 sentinel.  An iteration
@@ -61,7 +62,8 @@ class LdpcCode:
     so info bits are always recoverable as ``codeword[column_permutation[:k]]``.
     Rows that are linearly dependent over GF(2) are kept for decoding but
     flagged in ``redundant_checks`` and excluded from the encoder, with
-    ``k = n - rank``.
+    ``k = n - rank``.  The Tanner graph's edges are held only in the slot
+    layout ``slot_var``/``var_slots``/``pad_slots`` (see ``_slot_layout``).
     """
 
     n: int
@@ -70,8 +72,6 @@ class LdpcCode:
     column_permutation: np.ndarray
     redundant_checks: tuple
     parity_matrix: np.ndarray = field(repr=False)  # (n - k, k) over GF(2)
-    edge_var: np.ndarray = field(repr=False)
-    edge_check: np.ndarray = field(repr=False)
     slot_var: np.ndarray = field(repr=False)  # (d_c_max, max(m, 2)), see _slot_layout
     var_slots: np.ndarray = field(repr=False)  # (d_v_max, max(n, 2))
     pad_slots: np.ndarray = field(repr=False)  # flat indices of the padded check slots
@@ -87,14 +87,12 @@ class LdpcCode:
             if arr.size != np.unique(arr).size:
                 raise ValueError(f"check {idx} lists a variable twice")
             norm_checks.append(np.sort(arr))
-        edge_var = np.concatenate([np.empty(0, np.int64), *norm_checks])
-        edge_check = np.repeat(np.arange(len(norm_checks)), [c.size for c in norm_checks])
         # laid out before the elimination's large temporaries, so that these
         # long-lived arrays do not pin the top of the heap (1.5 MB of peak RSS)
-        layout = _slot_layout(n, norm_checks, edge_var, edge_check)
+        layout = _slot_layout(n, norm_checks)
         parity, perm, redundant = _gf2_systematize(n, norm_checks)
         k = n - parity.shape[0]
-        return cls(n, k, norm_checks, perm, redundant, parity, edge_var, edge_check, *layout)
+        return cls(n, k, norm_checks, perm, redundant, parity, *layout)
 
     @property
     def num_checks(self):
@@ -102,13 +100,14 @@ class LdpcCode:
 
     @property
     def num_edges(self):
-        return self.edge_var.size
+        return self.slot_var.size - self.pad_slots.size
 
 
-def _slot_layout(n, checks, edge_var, edge_check):
+def _slot_layout(n, checks):
     """The check-slot and variable-slot index arrays ``bp_decode`` gathers with.
 
-    Slot ``(s, i)`` holds the edge from check ``i`` to its s-th variable;
+    Edges are numbered check by check, each check's variables in increasing
+    order.  Slot ``(s, i)`` holds the edge from check ``i`` to its s-th variable;
     ``slot_var`` names that variable, or in a padded slot the index one past
     the variables (the +inf sentinel after the totals).  Column ``j`` of
     ``var_slots`` lists the flat check slots of variable ``j``'s edges in
@@ -116,6 +115,8 @@ def _slot_layout(n, checks, edge_var, edge_check):
     sentinel after the messages).  Both layouts are at least two columns
     wide: numpy sums a single column pairwise, which would reorder the sums.
     """
+    edge_var = np.concatenate([np.empty(0, np.int64), *checks])
+    edge_check = np.repeat(np.arange(len(checks)), [c.size for c in checks])
     m_cols, n_cols = max(len(checks), 2), max(n, 2)
     check_rank, d_c = _rank_in_group(edge_check, len(checks))
     var_rank, d_v = _rank_in_group(edge_var, n)
@@ -138,47 +139,39 @@ def _rank_in_group(groups, num_groups):
 def _gf2_systematize(n, checks):
     """Drive an identity into the rightmost columns of H by row reduction.
 
-    Works on a dense copy; column swaps are recorded in the returned
-    permutation (codeword order [info | parity]).  Returns the parity map
-    ``A`` with ``parity = A @ info mod 2`` (rows ordered by parity position),
-    the permutation, and the indices of redundant (dependent) rows.
+    Works on a dense copy.  Each target column, from the right, takes the
+    nearest column at or left of it that has a one in a free (not yet pivot)
+    row, swapped into place and recorded in the returned permutation (codeword
+    order [info | parity]); the first such row becomes its pivot and is
+    cleared from every other row.  Returns the parity map ``A`` with
+    ``parity = A @ info mod 2`` (rows ordered by parity position), the
+    permutation, and the indices of redundant (dependent) rows.
     """
     m = len(checks)
     h = np.zeros((m, n), dtype=np.uint8)
     for i, vars_ in enumerate(checks):
         h[i, vars_] = 1
     perm = np.arange(n)
-    used = np.zeros(m, dtype=bool)
-    pivot_row_at = {}  # column position -> pivot row
-    target = n - 1
-    while target >= 0 and used.sum() < m:
-        rows = np.nonzero((h[:, target] == 1) & ~used)[0]
-        if rows.size == 0:
-            swapped = False
-            for c in range(target - 1, -1, -1):
-                rows_c = np.nonzero((h[:, c] == 1) & ~used)[0]
-                if rows_c.size:
-                    h[:, [c, target]] = h[:, [target, c]]
-                    perm[[c, target]] = perm[[target, c]]
-                    rows = rows_c
-                    swapped = True
-                    break
-            if not swapped:
-                break  # remaining unused rows are all-zero, hence redundant
-        r = int(rows[0])
-        used[r] = True
-        others = (h[:, target] == 1)
+    free = np.ones(m, dtype=bool)
+    pivots = []
+    for target in range(n - 1, n - 1 - min(m, n), -1):
+        for c in range(target, -1, -1):
+            rows = np.flatnonzero((h[:, c] == 1) & free)
+            if rows.size:
+                break
+        else:
+            break  # the free rows are all zero, hence redundant
+        if c != target:
+            h[:, [c, target]] = h[:, [target, c]]
+            perm[[c, target]] = perm[[target, c]]
+        r = rows[0]
+        free[r] = False
+        others = h[:, target] == 1
         others[r] = False
         h[others] ^= h[r]
-        pivot_row_at[target] = r
-        target -= 1
-    rank = len(pivot_row_at)
-    k = n - rank
-    parity = np.zeros((rank, k), dtype=np.uint8)
-    for pos, row in pivot_row_at.items():
-        parity[pos - k] = h[row, :k]
-    redundant = tuple(int(i) for i in np.nonzero(~used)[0])
-    return parity, perm, redundant
+        pivots.append(r)
+    parity = h[pivots[::-1], :n - len(pivots)]
+    return parity, perm, tuple(int(i) for i in np.flatnonzero(free))
 
 
 def encode(code: LdpcCode, info_bits) -> np.ndarray:
@@ -194,10 +187,9 @@ def encode(code: LdpcCode, info_bits) -> np.ndarray:
 
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
     """Per-check parity of a candidate word (all zeros iff it is a codeword)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    sums = np.bincount(code.edge_check, weights=bits[code.edge_var].astype(np.float64),
-                       minlength=code.num_checks)
-    return (sums.astype(np.int64) & 1).astype(np.uint8)
+    padded = np.zeros(code.var_slots.shape[1] + 1, dtype=np.uint8)  # a 0 at the pad index
+    padded[:code.n] = np.asarray(bits, dtype=np.uint8) & 1
+    return np.bitwise_xor.reduce(padded[code.slot_var], axis=0)[:code.num_checks]
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ def reference_bp_decode(code, llr_in, iterations):
     for bit.
     """
     llr = np.clip(np.asarray(llr_in, dtype=np.float64), -LLR_MAX, LLR_MAX)
-    ev, ec = code.edge_var, code.edge_check
     num_checks = code.num_checks
+    ev = np.concatenate([np.empty(0, np.int64), *code.checks])  # check by check
+    ec = np.repeat(np.arange(num_checks), [len(c) for c in code.checks])
     c2v = np.zeros(ev.size)
 
     for _ in range(int(iterations)):
@@ -195,8 +196,9 @@ def reference_quadrature_moments(r, v, y, f, sigma2, rule):
     floating-point operations in the same order: the row-blocked kernel must
     match its ``(m1, m2, log_z, fallback)`` bit for bit.
     """
-    t = rule.nodes[None, :]
-    log_u = np.log(rule.weights)[None, :]
+    nodes, weights = rule
+    t = nodes[None, :]
+    log_u = np.log(weights)[None, :]
     center = r
     scale = np.full_like(r, v)
     bad = np.zeros(r.shape, dtype=bool)

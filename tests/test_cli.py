@@ -366,12 +366,14 @@ def test_negative_seed_is_usage_error(small_code_path, tmp_path, experiment):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--max-seeds", "--outer-iters", "--bp-iters"])
-def test_zero_count_is_usage_error(small_code_path, tmp_path, flag):
+@pytest.mark.parametrize(
+    "flag", ["--min-errors", "--max-seeds", "--outer-iters", "--bp-iters", "--workers"])
+def test_zero_count_is_usage_error(small_code_path, tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv")
              + ["--experiment", "mse-trace", flag, "0"])
     assert err.value.code == 2
+    assert f"{flag[2:].replace('-', '_')} must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 

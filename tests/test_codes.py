@@ -1,5 +1,7 @@
 """The bundled codes are what README says they are, and their recorded seeds rebuild them."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,25 @@ def test_recorded_seed_rebuilds_builtin_code(n, seed):
     assert len(rebuilt) == len(shipped)
     for row, (got, want) in enumerate(zip(rebuilt, shipped)):
         np.testing.assert_array_equal(got, want, err_msg=f"check {row}")
+
+
+# sha256 over the shape and bytes of the encoder's permutation, parity map and
+# redundant rows; any change to the GF(2) elimination moves every codeword
+_ENCODER_DIGESTS = {
+    "r12-n128": "05685a84df69b58393dc3550a996bb5d25057b90a2e1c70d3d99dbe43e68f102",
+    "r12-n256": "12ec562b82cb0565e936141dc8e916d6da95ea77794eed272cd4f7380191d482",
+    "r12-n512": "5427348df788dbbab68c40facaac785b238cf53c49ca2e74062b59c6ddf399cf",
+    "r12-n1056": "6e1c42e62d9ccd657ce1630cb1444ed447070f18e7a12c39be5ebe8005c0c3d9",
+    "r12-n2304": "3cb20d7a5ed6f3240be89db99d4ebc748c446f0dc247975ee210bf7885315490",
+}
+
+
+@pytest.mark.parametrize("code_id", builtin_code_ids())
+def test_builtin_encoder_is_pinned(code_id):
+    code = load_code(f"builtin:{code_id}")[0]
+    digest = hashlib.sha256()
+    for part in (code.column_permutation.astype(np.int64), code.parity_matrix.astype(np.uint8),
+                 np.array(code.redundant_checks, dtype=np.int64)):
+        digest.update(repr(part.shape).encode())
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == _ENCODER_DIGESTS[code_id]

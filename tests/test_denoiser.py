@@ -76,6 +76,44 @@ def test_parse_rejects_inconsistent_sections():
         parse_alist(bad)
 
 
+def _with_line(text, lineno, new):
+    lines = text.splitlines()
+    lines[lineno - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+_MALFORMED_ALISTS = {
+    "non-integer token": (_with_line(SPC3_ALIST, 5, "1x"), 5, "non-integer"),
+    "non-integer after a blank line": ("\n" + _with_line(SPC3_ALIST, 5, "one"), 6,
+                                       "non-integer"),
+    "max-degree line": (_with_line(SPC3_ALIST, 2, "1 3 3"), 2, "max_col_degree"),
+    "column-degree count": (_with_line(SPC3_ALIST, 3, "1 1"), 3, "column degrees"),
+    "row-degree count": (_with_line(SPC3_ALIST, 4, "3 0"), 4, "row degrees"),
+    "edge counts disagree": (_with_line(SPC3_ALIST, 4, "2"), 4, "edge count"),
+    "line count": (SPC3_ALIST + "1 2 3\n", 9, "non-empty lines"),
+    "non-zero padding": (_with_line(HAMMING74_ALIST, 5, "1 0 2"), 5, "padding"),
+    "variable twice in a row": (_with_line(SPC3_ALIST, 8, "1 2 2"), 8, "twice"),
+    "fewer entries than the degree": (_with_line(SPC3_ALIST, 8, "1 2"), 8, "declares degree"),
+    "no room for a header": ("3 1\n1 3\n", None, "too short"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_ALISTS)
+def test_parse_rejection_names_its_line(case):
+    text, line, match = _MALFORMED_ALISTS[case]
+    with pytest.raises(AlistParseError, match=match) as err:
+        parse_alist(text)
+    assert err.value.line == line
+
+
+def test_parse_skips_blank_lines(hamming74):
+    lines = HAMMING74_ALIST.splitlines()
+    code = parse_alist("\n  \n" + "\n\n".join(lines[:5]) + "\n\t\n" + "\n".join(lines[5:]))
+    assert (code.n, code.k) == (7, 4)
+    for got, want in zip(code.checks, hamming74.checks, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_alist_roundtrip(hamming74, spc3):
     for code in (hamming74, spc3, make_regular_code(48, seed=2)):
         again = parse_alist(serialize_alist(code))
@@ -257,11 +295,10 @@ def test_bp_requires_iterations():
 
 def test_codes_with_empty_edge_lists():
     code = LdpcCode.from_checks(4, [[], [0, 1], []])
-    np.testing.assert_array_equal(code.edge_var, [0, 1])
-    np.testing.assert_array_equal(code.edge_check, [1, 1])
+    assert code.num_edges == 2
     np.testing.assert_array_equal(syndrome(code, [1, 0, 0, 0]), [0, 1, 0])
     uncoded = LdpcCode.from_checks(3, [])
-    assert syndrome(uncoded, [1, 0, 1]).shape == (0,)
+    assert syndrome(uncoded, [1, 0, 1]).shape == (0,) and uncoded.num_edges == 0
     np.testing.assert_array_equal(bp_decode(uncoded, [40.0, -0.5, 0.0], 5), [30.0, -0.5, 0.0])
 
 

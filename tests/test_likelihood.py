@@ -14,42 +14,47 @@ from scvamp.messages import GaussianMessage
 
 
 def test_gh_rule_order_two_closed_form():
-    rule = gh_rule(2)
-    np.testing.assert_allclose(np.sort(rule.nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)],
+    nodes, weights = gh_rule(2)
+    np.testing.assert_allclose(np.sort(nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)],
                                atol=1e-14)
-    np.testing.assert_allclose(rule.weights, np.sqrt(np.pi) / 2, atol=1e-14)
+    np.testing.assert_allclose(weights, np.sqrt(np.pi) / 2, atol=1e-14)
 
 
 def test_gh_rule_order_three_closed_form():
-    rule = gh_rule(3)
-    np.testing.assert_allclose(np.sort(rule.nodes), [-np.sqrt(1.5), 0.0, np.sqrt(1.5)],
+    nodes, weights = gh_rule(3)
+    np.testing.assert_allclose(np.sort(nodes), [-np.sqrt(1.5), 0.0, np.sqrt(1.5)],
                                atol=1e-14)
-    w = rule.weights[np.argsort(rule.nodes)]
+    w = weights[np.argsort(nodes)]
     np.testing.assert_allclose(w, [np.sqrt(np.pi) / 6, 2 * np.sqrt(np.pi) / 3,
                                    np.sqrt(np.pi) / 6], atol=1e-13)
 
 
 def test_gh_rule_weight_sum_and_symmetry():
     for q in (2, 5, 17, 50, 200):
-        rule = gh_rule(q)
-        assert rule.weights.sum() == pytest.approx(np.sqrt(np.pi), abs=1e-12)
-        np.testing.assert_allclose(np.sort(rule.nodes), -np.sort(-rule.nodes)[::-1],
+        nodes, weights = gh_rule(q)
+        assert weights.sum() == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+        np.testing.assert_allclose(np.sort(nodes), -np.sort(-nodes)[::-1],
                                    atol=1e-13)
-        assert np.all(rule.weights > 0)
+        assert np.all(weights > 0)
 
 
 def test_gh_rule_fourth_moment():
-    rule = gh_rule(50)
-    value = np.sum(rule.weights * rule.nodes**4)
+    nodes, weights = gh_rule(50)
+    value = np.sum(weights * nodes**4)
     assert value == pytest.approx(0.75 * np.sqrt(np.pi), abs=1e-12)
 
 
 def test_gh_rule_polynomial_exactness():
     # degree 6 integrated exactly by a 4-point rule (2Q - 1 = 7)
-    rule = gh_rule(4)
-    assert np.sum(rule.weights * rule.nodes**6) == pytest.approx(
+    nodes, weights = gh_rule(4)
+    assert np.sum(weights * nodes**6) == pytest.approx(
         (15.0 / 8.0) * np.sqrt(np.pi), rel=1e-13
     )
+
+
+def test_gh_rule_is_read_only():
+    nodes, weights = gh_rule(7)
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_gh_rule_order_bounds():
@@ -202,6 +207,15 @@ def test_second_order_tweedie_finite_difference():
         ds = (score(r + h) - score(r - h)) / (2 * h)
         m1, m2 = component_moments(r, v, y, spec)
         assert m2 - m1 * m1 == pytest.approx(v + v * v * ds, abs=1e-5)
+
+
+def test_identity_log_normalizer_matches_closed_form():
+    # with f = id the tilted density is Gaussian, so the quadrature is exact
+    for r, v, y, s2 in _FD_GRID + [(3.0, 1e-6, -2.0, 1e-3), (0.2, 40.0, 0.1, 5.0)]:
+        total = v + s2
+        want = -((y - r) ** 2) / (2.0 * total) - 0.5 * np.log(2.0 * np.pi * total)
+        got = log_normalizer(r, v, y, ChannelSpec("id", s2))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_monotone_quadrature_convergence():
