@@ -8,6 +8,7 @@ import sys
 
 from .codes import builtin_code_ids
 from .experiment import SweepConfig, ber_sweep, mse_trace_experiment
+from .likelihood import NONLINEARITIES
 from .runner import Variant
 
 
@@ -45,7 +46,8 @@ def build_parser():
     parser.add_argument("--h", dest="h_mode", required=True,
                         help="channel matrix mode: iid:MxN or blockdiag:B")
     parser.add_argument("--nonlinearity",
-                        help="name of the component-wise f in y = f(Hx) + z")
+                        help="component-wise f in y = f(Hx) + z, one of: "
+                             + ", ".join(NONLINEARITIES))
     parser.add_argument("--outer-iters", type=int)
     parser.add_argument("--bp-iters", type=int)
     parser.add_argument("--min-errors", type=int)

@@ -8,7 +8,6 @@ code paths it is meant to verify.
 import numpy as np
 
 from scvamp.denoiser import _TANH_CLIP, LLR_MAX
-from scvamp.likelihood import _ADAPT_PASSES
 from scvamp.messages import GaussianMessage
 
 
@@ -190,11 +189,13 @@ def reference_bp_decode(code, llr_in, iterations):
 
 
 def reference_quadrature_moments(r, v, y, f, sigma2, rule):
-    """Adaptive Gauss-Hermite moments of every component in one ``(M, Q)`` array.
+    """Cavity-started adaptive Gauss-Hermite moments in one ``(M, Q)`` array.
 
-    The unblocked form of ``likelihood._quadrature_moments``, with the same
-    floating-point operations in the same order: the row-blocked kernel must
-    match its ``(m1, m2, log_z, fallback)`` bit for bit.
+    The rule the observation stage used before its Laplace start: a first
+    pass on the cavity substitution ``w = r + sqrt(2 v) t``, then two passes
+    recentred on the running moments, all three with the same ``rule``.  It
+    is the baseline of the accuracy envelope test.  Returns
+    ``(m1, m2, log_z, fallback)`` with ``m2`` the raw second moment.
     """
     nodes, weights = rule
     t = nodes[None, :]
@@ -204,7 +205,7 @@ def reference_quadrature_moments(r, v, y, f, sigma2, rule):
     bad = np.zeros(r.shape, dtype=bool)
     m1 = r.copy()
     m2 = r * r + v
-    for _ in range(_ADAPT_PASSES):
+    for _ in range(3):
         w = center[:, None] + np.sqrt(2.0 * scale)[:, None] * t
         resid = y[:, None] - f(w)
         log_terms = (

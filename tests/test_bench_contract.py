@@ -5,11 +5,14 @@ positional arguments of the calls it wraps (``run_variant``'s variant and
 scenario, ``likelihood_step``'s observation, ``bp_decode``'s code and
 iteration count).  These tests load the benchmark's tracer and workload
 modules from their files, without changing them, and run one small traced
-sweep the way ``bench/run.py`` runs a pass.
+sweep the way ``bench/run.py`` runs a pass.  They also run every workload's
+small size at the reference master seed and compare its CSV rows with
+``bench/reference.json``, the outcomes the benchmark's pass 0 must repeat.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +54,23 @@ def test_traced_sweep_reaches_every_layer_and_records_each_frame():
     assert trace.counts["runner.outer_iters"] > 0
     assert trace.counts["likelihood.components"] > 0
     assert trace.counts["denoiser.edge_updates"] > 0
+
+
+REFERENCE = json.loads((BENCH / "reference.json").read_text())["workloads"]
+
+
+@pytest.mark.parametrize("name", [
+    "ber-n2304-blockdiag-tanh-adaptive",
+    pytest.param("ber-n2304-iid-under-id", marks=pytest.mark.xfail(
+        strict=True, reason="the small-size reference predates the residual-form LMMSE of a "
+                            "wide H, which moved scvamp3's 9 dB frame from 60 to 68 bit "
+                            "errors; bench/reference.json has not been re-recorded since")),
+])
+def test_small_workload_repeats_reference_outcomes(name, tmp_path):
+    out = tmp_path / "o.csv"
+    config = SweepConfig(**workloads.WORKLOADS[name].params("small"),
+                         master_seed=workloads.REFERENCE_MASTER_SEED, workers=1,
+                         deterministic=True, output_path=str(out))
+    ber_sweep(config)
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert {"|".join(row.split(",")[:2]): row for row in rows} == REFERENCE[name]["small"]

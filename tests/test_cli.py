@@ -13,7 +13,7 @@ import pytest
 
 from scvamp.cli import build_parser, main, parse_cli
 from scvamp.codegen import make_regular_code
-from scvamp.codes import load_code
+from scvamp.codes import builtin_code_ids, load_code
 from scvamp.denoiser import serialize_alist
 from scvamp.experiment import (
     SweepConfig,
@@ -23,6 +23,7 @@ from scvamp.experiment import (
     mse_trace_experiment,
     wilson_interval,
 )
+from scvamp.likelihood import NONLINEARITIES
 from scvamp.runner import DecodeResult, IterationTrace, Variant
 
 
@@ -91,6 +92,15 @@ def test_readme_flag_list_matches_parser():
     documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
     options = {opt for action in build_parser()._actions for opt in action.option_strings}
     assert documented == options - {"-h", "--help"}
+
+
+def test_help_lists_registered_names():
+    # the choices of --variant, --code and --nonlinearity come from their registries
+    helps = {opt: action.help for action in build_parser()._actions
+             for opt in action.option_strings}
+    assert all(v.value in helps["--variant"] for v in Variant)
+    assert all(code_id in helps["--code"] for code_id in builtin_code_ids())
+    assert all(name in helps["--nonlinearity"] for name in NONLINEARITIES)
 
 
 def test_readme_examples_parse():
