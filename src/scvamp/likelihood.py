@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -64,10 +63,6 @@ class ChannelSpec:
             raise ValueError(f"noise variance must be positive, got {self.noise_variance}")
 
     @property
-    def is_identity(self):
-        return self.nonlinearity == "id"
-
-    @property
     def f(self) -> Callable:
         return NONLINEARITIES[self.nonlinearity][0]
 
@@ -88,22 +83,8 @@ class ChannelSpec:
         return cls(nonlinearity, noise_variance)
 
 
-@lru_cache(maxsize=None)
-def gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(nodes, weights)`` of the order-Q Gauss-Hermite rule for exp(-t^2).
-
-    Q lies in [2, 200]; the rule is exact for polynomials up to degree 2Q-1.
-    """
-    q = int(order)
-    if not 2 <= q <= 200:
-        raise ValueError(f"quadrature order must lie in [2, 200], got {order}")
-    nodes, weights = np.polynomial.hermite.hermgauss(q)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-_ORDERS = (12, 50)  # Gauss-Hermite nodes of the Laplace-centred and the recentred pass
+# (nodes, weights) for exp(-t^2): the Laplace-centred pass, then the recentred pass
+_RULES = tuple(np.polynomial.hermite.hermgauss(q) for q in (12, 50))
 _START_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # mode search starts, in cavity stds
 _MODE_STEPS = 4  # Gauss-Newton steps towards the mode of the tilted density
 _BLOCK_NODES = 512 * 50  # nodes per block: a block's (rows, Q) buffers stay in cache
@@ -136,10 +117,10 @@ def _laplace_start(r, v, y, spec):
     return np.where(ok, w, r), np.where(ok, scale, v)
 
 
-def _quadrature_moments(r, v, y, spec, orders=_ORDERS):
+def _quadrature_moments(r, v, y, spec):
     """Vectorized posterior moments over components; returns (mean, var, log_z, fallback).
 
-    The first pass, of ``orders[0]`` nodes, uses ``w = mode + sqrt(2 s) t``
+    The first pass, with the first of ``_RULES``, uses ``w = mode + sqrt(2 s) t``
     with the mode and Laplace scale ``s`` from ``_laplace_start``; each later
     pass recentres and rescales its rule on the previous pass's mean and
     variance, integrating the full tilted density against the moving Gaussian
@@ -154,8 +135,8 @@ def _quadrature_moments(r, v, y, spec, orders=_ORDERS):
     sigma2 = spec.noise_variance
     center, scale = _laplace_start(r, v, y, spec)
     bad = np.zeros(r.shape, dtype=bool)
-    for order in orders:
-        top, z0, z1, z2 = _node_sums(r, v, y, spec.f, sigma2, center, scale, gh_rule(order))
+    for rule in _RULES:
+        top, z0, z1, z2 = _node_sums(r, v, y, spec, center, scale, rule)
         good = np.isfinite(top) & np.isfinite(z0) & (z0 > 0.0) & np.isfinite(z1) & np.isfinite(z2)
         bad |= ~good
         safe = np.where(good, z0, 1.0)
@@ -172,12 +153,13 @@ def _quadrature_moments(r, v, y, spec, orders=_ORDERS):
     return mean, var, log_z, bad
 
 
-def _node_sums(r, v, y, f, sigma2, center, scale, rule):
+def _node_sums(r, v, y, spec, center, scale, rule):
     """One pass of ``rule`` at ``w = center + sqrt(2 scale) t``; returns (top, z0, z1, z2).
 
     ``top`` is each component's largest log term, and ``z0``, ``z1``, ``z2``
     are its sums of ``q``, ``q t`` and ``q t^2`` with ``q = exp(log term - top)``.
-    Components are processed in blocks of about ``_BLOCK_NODES`` nodes.
+    Components are processed in blocks of about ``_BLOCK_NODES`` nodes, in
+    place on ``(rows, Q)`` buffers.
     """
     t, weights = rule
     base = np.log(weights) + t * t
@@ -188,31 +170,23 @@ def _node_sums(r, v, y, f, sigma2, center, scale, rule):
     sums = np.empty((4, r.size))
     for lo in range(0, r.size, rows):
         block = slice(lo, lo + rows)
-        k = r[block].size
-        sums[0, block], sums[1:, block] = _block_sums(
-            r[block], v, y[block], f, sigma2, center[block], scale[block], base, powers,
-            *(b[:k] for b in buffers)
-        )
+        w, log_terms, resid = (b[: r[block].size] for b in buffers)
+        np.multiply(np.sqrt(2.0 * scale[block])[:, None], t, out=w)
+        w += center[block, None]
+        np.subtract(w, r[block, None], out=log_terms)
+        log_terms *= log_terms
+        log_terms /= 2.0 * v
+        np.subtract(base, log_terms, out=log_terms)
+        np.subtract(y[block, None], spec.f(w), out=resid)
+        resid *= resid
+        resid /= 2.0 * spec.noise_variance
+        log_terms -= resid
+        sums[0, block] = top = np.max(log_terms, axis=1)
+        log_terms -= np.where(np.isfinite(top), top, 0.0)[:, None]
+        q = np.exp(log_terms, out=log_terms)
+        # numpy's own loops, not BLAS: a BLAS product may vary with its thread count
+        sums[1:, block] = np.einsum("ij,kj->ki", q, powers)
     return sums
-
-
-def _block_sums(r, v, y, f, sigma2, center, scale, base, powers, w, log_terms, resid):
-    """``_node_sums`` on one block of rows, in place on ``(rows, Q)`` buffers."""
-    np.multiply(np.sqrt(2.0 * scale)[:, None], powers[1], out=w)  # powers[1] is t
-    w += center[:, None]
-    np.subtract(w, r[:, None], out=log_terms)
-    log_terms *= log_terms
-    log_terms /= 2.0 * v
-    np.subtract(base, log_terms, out=log_terms)
-    np.subtract(y[:, None], f(w), out=resid)
-    resid *= resid
-    resid /= 2.0 * sigma2
-    log_terms -= resid
-    top = np.max(log_terms, axis=1)
-    log_terms -= np.where(np.isfinite(top), top, 0.0)[:, None]
-    q = np.exp(log_terms, out=log_terms)
-    # numpy's own loops, not BLAS: a BLAS product may vary with its thread count
-    return top, np.einsum("ij,kj->ki", q, powers)
 
 
 def log_normalizer(r, v, y, spec: ChannelSpec):
@@ -248,7 +222,7 @@ def likelihood_step(
     v = rw.variance
     sigma2 = spec.noise_variance
 
-    if spec.is_identity:
+    if spec.nonlinearity == "id":
         v_post = 1.0 / (1.0 / v + 1.0 / sigma2)
         m1 = v_post * (rw.mean / v + y / sigma2)
         return GaussianMessage(y, sigma2), PosteriorSummary(m1, v_post, v_post / v)

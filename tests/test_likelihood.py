@@ -1,37 +1,22 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from conftest import component_moments
 from oracles import reference_quadrature_moments, trapezoid_tanh_moments
+import scvamp.likelihood
 from scvamp.likelihood import (
     ChannelSpec,
+    _RULES,
     _quadrature_moments,
-    gh_rule,
     likelihood_step,
     log_normalizer,
 )
 from scvamp.messages import GaussianMessage
 
 
-def test_gh_rule_order_two_closed_form():
-    nodes, weights = gh_rule(2)
-    np.testing.assert_allclose(np.sort(nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)],
-                               atol=1e-14)
-    np.testing.assert_allclose(weights, np.sqrt(np.pi) / 2, atol=1e-14)
-
-
-def test_gh_rule_order_three_closed_form():
-    nodes, weights = gh_rule(3)
-    np.testing.assert_allclose(np.sort(nodes), [-np.sqrt(1.5), 0.0, np.sqrt(1.5)],
-                               atol=1e-14)
-    w = weights[np.argsort(nodes)]
-    np.testing.assert_allclose(w, [np.sqrt(np.pi) / 6, 2 * np.sqrt(np.pi) / 3,
-                                   np.sqrt(np.pi) / 6], atol=1e-13)
-
-
 def test_gh_rule_weight_sum_and_symmetry():
-    for q in (2, 5, 17, 50, 200):
-        nodes, weights = gh_rule(q)
+    for nodes, weights in _RULES:
         assert weights.sum() == pytest.approx(np.sqrt(np.pi), abs=1e-12)
         np.testing.assert_allclose(np.sort(nodes), -np.sort(-nodes)[::-1],
                                    atol=1e-13)
@@ -39,29 +24,19 @@ def test_gh_rule_weight_sum_and_symmetry():
 
 
 def test_gh_rule_fourth_moment():
-    nodes, weights = gh_rule(50)
-    value = np.sum(weights * nodes**4)
-    assert value == pytest.approx(0.75 * np.sqrt(np.pi), abs=1e-12)
+    for nodes, weights in _RULES:
+        value = np.sum(weights * nodes**4)
+        assert value == pytest.approx(0.75 * np.sqrt(np.pi), abs=1e-12)
 
 
 def test_gh_rule_polynomial_exactness():
-    # degree 6 integrated exactly by a 4-point rule (2Q - 1 = 7)
-    nodes, weights = gh_rule(4)
-    assert np.sum(weights * nodes**6) == pytest.approx(
-        (15.0 / 8.0) * np.sqrt(np.pi), rel=1e-13
-    )
-
-
-def test_gh_rule_is_read_only():
-    nodes, weights = gh_rule(7)
-    assert not nodes.flags.writeable and not weights.flags.writeable
-
-
-def test_gh_rule_order_bounds():
-    with pytest.raises(ValueError):
-        gh_rule(1)
-    with pytest.raises(ValueError):
-        gh_rule(201)
+    # a Q-node rule integrates t^(2Q-2) exactly (odd degrees up to 2Q-1 vanish
+    # by symmetry): int t^2k exp(-t^2) dt = Gamma(k + 1/2)
+    for nodes, weights in _RULES:
+        k = nodes.size - 1
+        exact = np.sqrt(np.pi) * np.prod(np.arange(1, 2 * k, 2) / 2.0)
+        assert np.sum(weights * nodes ** (2 * k)) == pytest.approx(exact, rel=1e-10)
+        assert np.sum(weights * nodes ** (2 * k + 1)) == pytest.approx(0.0, abs=1e-10 * exact)
 
 
 def test_channel_spec_validation():
@@ -218,13 +193,15 @@ def test_identity_log_normalizer_matches_closed_form():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_monotone_quadrature_convergence():
+def test_monotone_quadrature_convergence(monkeypatch):
     # the node schedule in use agrees with one of twice the nodes per pass
-    for r, v, y, s2 in _CONVERGED_GRID:
-        args = np.array([r]), v, np.array([y]), ChannelSpec("tanh", s2)
-        m_used = _quadrature_moments(*args)[0]
-        m_doubled = _quadrature_moments(*args, orders=(24, 100))[0]
-        assert abs(m_used[0] - m_doubled[0]) <= 1e-9
+    args = [(np.array([r]), v, np.array([y]), ChannelSpec("tanh", s2))
+            for r, v, y, s2 in _CONVERGED_GRID]
+    m_used = [_quadrature_moments(*a)[0] for a in args]
+    monkeypatch.setattr(scvamp.likelihood, "_RULES",
+                        tuple(hermgauss(q) for q in (24, 100)))
+    for a, used in zip(args, m_used):
+        assert abs(used[0] - _quadrature_moments(*a)[0][0]) <= 1e-9
 
 
 def test_posterior_variance_never_exceeds_prior():
@@ -289,7 +266,7 @@ def test_quadrature_accuracy_envelope():
                                for i in range(12)])
             mean, var, _, _ = _quadrature_moments(r, v, y, ChannelSpec("tanh", s2))
             new = _worst_error(mean, var, oracle)
-            m1, m2, _, _ = reference_quadrature_moments(r, v, y, np.tanh, s2, gh_rule(50))
+            m1, m2, _, _ = reference_quadrature_moments(r, v, y, np.tanh, s2, hermgauss(50))
             old = _worst_error(m1, m2 - m1 * m1, oracle)
             assert new < 0.5, (v, snr_db)
             if v <= 0.6 and new > max(1e-8, 2.0 * old):
