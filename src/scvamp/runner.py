@@ -6,7 +6,10 @@ output and refreshes ``(r_x, v_x)``; the observation stage consumes the
 w-side output and refreshes ``(r_w, v_w)``.  The two refreshes read only the
 coupling outputs, so their order does not matter.  Initialization is the
 non-informative ``(0, 1)`` on the x side (zero mean, unit variance for BPSK)
-and ``(y, sigma2)`` on the w side.
+and, on the w side, the observation stage's extrinsic message on the prior of
+w, ``N(0, ||H||_F^2 / M)``.  For ``f = id`` that message is ``(y, sigma2)``;
+for a saturating ``f`` it keeps the first iteration from trusting ``y`` as if
+it were ``w``.
 
 Every variant runs the same loop; they differ only in per-stage policy, one
 row of ``POLICIES`` each:
@@ -142,7 +145,10 @@ def run_variant(
     diverged = False
 
     try:
-        rx_msg, rw_msg = GaussianMessage(np.zeros(n), 1.0), GaussianMessage(y, spec.noise_variance)
+        rx_msg = GaussianMessage(np.zeros(n), 1.0)
+        # the observation stage's extrinsic on the prior of w, N(0, ||H||_F^2 / M)
+        prior_w = GaussianMessage(np.zeros(mix.m), float(np.mean(mix.eigenvalues)) * n / mix.m)
+        rw_msg = likelihood_step(prior_w, y, model)[0]
         for t in range(1, int(outer_iters) + 1):
             x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix)
             to_denoiser = forward(rx_msg, x_post_c)

@@ -10,6 +10,9 @@ binds rather than on anything the outcome depends on.
 Regenerate the file (only for an intended change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every record it rewrites, with its bit errors and converged
+iteration old -> new.
 """
 
 import json
@@ -61,5 +64,24 @@ def test_outcomes_match_golden():
         assert actual[key] == expected, key
 
 
+def _changes(old, new):
+    """One line per record key that differs, with bit errors and converged iteration."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if before != after:
+            pairs = (
+                f"{name} {(before or {}).get(name, '-')} -> {(after or {}).get(name, '-')}"
+                for name in ("bit_errors", "converged_iteration")
+            )
+            lines.append(f"{key}: " + ", ".join(pairs))
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(compute_outcomes(), indent=1, sort_keys=True) + "\n")
+    previous = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    outcomes = compute_outcomes()
+    GOLDEN_PATH.write_text(json.dumps(outcomes, indent=1, sort_keys=True) + "\n")
+    changes = _changes(previous, outcomes)
+    print(*changes, sep="\n")
+    print(f"rewrote {len(changes)} of {len(outcomes)} records in {GOLDEN_PATH.name}")

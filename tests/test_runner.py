@@ -108,6 +108,20 @@ def test_tanh_high_snr_decodes_majority(code128):
     assert sum(e == 0 for e in errors) >= 5
 
 
+@pytest.mark.parametrize("variant", [Variant.SCVAMP3, Variant.LLR_TURBO, Variant.NO_ONSAGER])
+def test_tanh_high_snr_decodes_every_frame(code128, variant):
+    # more SNR must not cost frames: a w-side start of (y, sigma2), right only
+    # for f = id, sent the first denoiser ratio above 1 here and the frames
+    # never recovered
+    failed = []
+    for snr_db in (30.0, 35.0, 40.0):
+        for seed in range(10):
+            scenario, truth = _trial(code128, "blockdiag:32", snr_db, "tanh", seed)
+            if run_variant(variant, truth, scenario, 20, 20, early_stop=True).bit_errors:
+                failed.append((snr_db, seed))
+    assert not failed
+
+
 def test_mismatched_on_tanh_never_improves(code128):
     # ignoring the nonlinearity leaves the error floor high at every iteration
     for seed in range(3):
