@@ -21,8 +21,17 @@ def _parse_snr_list(text):
         a, b, step = (float(p) for p in parts)
         if not (all(map(math.isfinite, (a, b, step))) and step > 0 and b >= a):
             raise ValueError(f"malformed range {text!r}: must be finite, a <= b, step > 0")
-        count = int(round((b - a) / step)) + 1
-        return tuple(a + i * step for i in range(count) if a + i * step <= b + 1e-9)
+        steps = (b - a) / step  # inf when the step is below 1e-308 of the span
+        count = int(round(steps)) + 1 if math.isfinite(steps) else 0
+        if count and a + (count - 1) * step > b + 1e-9:
+            count -= 1
+        # the CSV labels keep 6 significant digits and are coarsest at the end
+        # farthest from 0: a range much finer than them repeats one there, so
+        # reject it before building the points (SweepConfig checks the rest)
+        far = range(min(count, 3)) if abs(a) > abs(b) else range(max(count - 3, 0), count)
+        if not count or len({f"{a + i * step:g}" for i in far}) < len(far):
+            raise ValueError("SNR points must not repeat, as numbers or as CSV labels")
+        return tuple(a + i * step for i in range(count))
     return tuple(float(p) for p in text.split(",") if p)
 
 

@@ -171,7 +171,11 @@ def test_bad_variant_is_usage_error(small_code_path, tmp_path, capsys):
                                    ["--snr-db", "3:inf:1"], ["--snr-db", "3:9:inf"],
                                    # two floats printed as one CSV label, and one float
                                    # printed as two labels
-                                   ["--snr-db", "6,6.000001"], ["--snr-db", "0,-0"]])
+                                   ["--snr-db", "6,6.000001"], ["--snr-db", "0,-0"],
+                                   # a range finer than the labels, rejected before
+                                   # its points are built
+                                   ["--snr-db", "0:1:1e-300"], ["--snr-db", "3:9:1e-12"],
+                                   ["--snr-db", "-9:-3:1e-12"], ["--snr-db", "0:1:1e-320"]])
 def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
