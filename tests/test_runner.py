@@ -110,9 +110,8 @@ def test_tanh_high_snr_decodes_majority(code128):
 
 @pytest.mark.parametrize("variant", [Variant.SCVAMP3, Variant.LLR_TURBO, Variant.NO_ONSAGER])
 def test_tanh_high_snr_decodes_every_frame(code128, variant):
-    # more SNR must not cost frames: a w-side start of (y, sigma2), right only
-    # for f = id, sent the first denoiser ratio above 1 here and the frames
-    # never recovered
+    # more SNR must not cost frames; this needs the w side to start at the
+    # observation stage's extrinsic, which is (y, sigma2) only for f = id
     failed = []
     for snr_db in (30.0, 35.0, 40.0):
         for seed in range(10):
