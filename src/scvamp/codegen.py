@@ -36,32 +36,22 @@ def make_regular_checks(n, seed):
         )
     m = n * _VAR_DEGREE // _CHECK_DEGREE
     rng = np.random.default_rng(seed)
-    check_vars = [set() for _ in range(m)]
-    var_checks = [[] for _ in range(n)]
+    member = np.zeros((m, n), dtype=bool)
     degree = np.zeros(m, dtype=np.int64)
 
     for v in range(n):
+        blocked = degree >= _CHECK_DEGREE
         for _ in range(_VAR_DEGREE):
-            taken = set(var_checks[v])
-            neighbor_vars = set()
-            for c in var_checks[v]:
-                neighbor_vars |= check_vars[c]
-            candidates = [
-                c for c in range(m)
-                if degree[c] < _CHECK_DEGREE
-                and c not in taken
-                and check_vars[c].isdisjoint(neighbor_vars)
-            ]
-            if not candidates:
+            candidates = np.flatnonzero(~blocked)
+            if not candidates.size:
                 return None
-            lowest = degree[candidates].min()
-            pool = [c for c in candidates if degree[c] == lowest]
+            pool = candidates[degree[candidates] == degree[candidates].min()]
             c = int(pool[rng.integers(len(pool))])
-            check_vars[c].add(v)
-            var_checks[v].append(c)
+            member[c, v] = True
             degree[c] += 1
+            blocked |= member[:, member[c]].any(axis=1)  # checks sharing a variable with c
 
-    return [sorted(check_vars[c]) for c in range(m)]
+    return [np.flatnonzero(row).tolist() for row in member]
 
 
 def make_regular_code(n, seed) -> LdpcCode:

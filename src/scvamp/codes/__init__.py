@@ -5,7 +5,7 @@ reads the header alone, so a sweep rejects a bad reference or an unfitting
 ``--h`` before any frame; only a malformed body waits for :func:`load_code`.
 The builtins are rate-1/2 regular (3,6) codes (4-cycle free, full rank) that
 ``scvamp.codegen.make_regular_code(128, seed=2)`` and ``seed=1`` at 256, 512,
-1056 and 2304 rebuild exactly.
+1056 and 2304 rebuild exactly; ``tests/test_codes.py`` rebuilds all five.
 """
 
 from __future__ import annotations

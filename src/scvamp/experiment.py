@@ -65,7 +65,7 @@ class SweepConfig:
     def __post_init__(self):
         if not self.snr_db_list:
             raise ValueError("snr_db_list must not be empty")
-        for name in ("min_errors", "max_seeds", "outer_iters", "bp_iters"):
+        for name in ("min_errors", "max_seeds", "outer_iters", "bp_iters", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.error_unit not in ("bit", "frame"):
@@ -74,8 +74,6 @@ class SweepConfig:
             raise ValueError(f"experiment must be 'ber' or 'mse-trace', got {self.experiment!r}")
         if self.experiment == "mse-trace" and len(self.snr_db_list) != 1:
             raise ValueError("mse trace runs at exactly one SNR")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.output_path is not None:  # fail now, not after the last frame
@@ -218,10 +216,12 @@ def _iterate_blocks(code, config, record):
     recorded again, even for the rest of its block, and dispatching stops
     once no pair is active.  With ``config.workers > 1`` the blocks run on a
     spawned pool that lives for this call; a block holds at most
-    ``_BLOCK_SIZE`` seeds, so no more processes than that are started.
+    ``min(_BLOCK_SIZE, max_seeds)`` seeds, so no more processes than that are
+    started.
     """
     pool = multiprocessing.get_context("spawn").Pool(
-        min(config.workers, _BLOCK_SIZE), initializer=_pool_init, initargs=(code, config)
+        min(config.workers, _BLOCK_SIZE, config.max_seeds),
+        initializer=_pool_init, initargs=(code, config)
     ) if config.workers > 1 else None
     try:
         active = config.pairs

@@ -137,7 +137,7 @@ def _quadrature_moments(r, v, y, spec):
     bad = np.zeros(r.shape, dtype=bool)
     for rule in _RULES:
         top, z0, z1, z2 = _node_sums(r, v, y, spec, center, scale, rule)
-        good = np.isfinite(top) & np.isfinite(z0) & (z0 > 0.0) & np.isfinite(z1) & np.isfinite(z2)
+        good = np.isfinite(top)  # then z0 lies in [1, Q] and z1, z2 are finite
         bad |= ~good
         safe = np.where(good, z0, 1.0)
         mean_t = z1 / safe

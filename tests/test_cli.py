@@ -49,6 +49,17 @@ def test_parse_snr_range(small_code_path, tmp_path):
     assert cfg.snr_db_list[0] == 4.0 and cfg.snr_db_list[-1] == 8.0
 
 
+# (b - a) / step rounds up past b at 0.35, and to even at 0.4: neither adds a point beyond b
+@pytest.mark.parametrize("text, points", [
+    ("0:1:0.35", (0.0, 0.35, 0.7)),
+    ("0:1:0.4", (0.0, 0.4, 0.8)),
+])
+def test_parse_snr_range_stops_at_its_end(small_code_path, tmp_path, text, points):
+    cfg = parse_cli(["--snr-db", text, "--code", small_code_path,
+                     "--h", "iid:48x48", "--out", str(tmp_path / "o.csv")])
+    assert cfg.snr_db_list == points
+
+
 def test_parse_snr_list_and_variants(small_code_path, tmp_path):
     cfg = parse_cli(["--snr-db", "3,4,5", "--variant", "scvamp3,no-onsager",
                      "--code", small_code_path, "--h", "iid:48x48",

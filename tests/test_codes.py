@@ -24,8 +24,7 @@ def test_builtin_code_is_regular_four_cycle_free_full_rank(code_id):
     assert overlap.max() <= 1.0
 
 
-# 1056 and 2304 rebuild too (seed 1), but placing their checks takes seconds
-@pytest.mark.parametrize("n, seed", [(128, 2), (256, 1), (512, 1)])
+@pytest.mark.parametrize("n, seed", [(128, 2), (256, 1), (512, 1), (1056, 1), (2304, 1)])
 def test_recorded_seed_rebuilds_builtin_code(n, seed):
     shipped = load_code(f"builtin:r12-n{n}")[0].checks
     rebuilt = make_regular_code(n, seed=seed).checks

@@ -1,5 +1,5 @@
-"""A multi-SNR BER sweep pinned byte for byte, one H build per seed, and the
-stop rule each experiment gives its frames.
+"""A multi-SNR BER sweep pinned byte for byte, one H build per seed, the
+stop rule each experiment gives its frames, and the paper's trend in n.
 
 ``golden_sweep.csv`` is the ``--deterministic`` BER CSV of a three-SNR,
 two-variant sweep whose points stop after different frame counts, one of them
@@ -20,7 +20,7 @@ import pytest
 
 import scvamp.channel
 import scvamp.experiment
-from scvamp.experiment import SweepConfig, ber_sweep, mse_trace_experiment
+from scvamp.experiment import SweepConfig, ber_sweep, mse_trace_experiment, wilson_interval
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sweep.csv")
 PINNED = SweepConfig(
@@ -133,8 +133,12 @@ def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
     assert all(works[100 + s] == [pair_b] for s in range(16, 40))
 
 
-@pytest.mark.parametrize("workers, size", [(64, 16), (3, 3)])
-def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, size):
+@pytest.mark.parametrize("workers, max_seeds, size", [
+    pytest.param(64, 24, 16, id="64-16"),
+    pytest.param(3, 24, 3, id="3-3"),
+    pytest.param(8, 3, 3, id="8-3-max_seeds3"),  # a block of 3 seeds needs 3 processes
+])
+def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, max_seeds, size):
     sizes = []
 
     class InProcessPool:
@@ -153,10 +157,26 @@ def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers,
     monkeypatch.setattr(scvamp.experiment, "_POOL_STATE", {})
     monkeypatch.setattr(scvamp.experiment.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=InProcessPool))
-    config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers)
+    config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers, max_seeds=max_seeds)
     csv = _sweep_csv(config, tmp_path / "pooled.csv")
     assert sizes == [size]
     assert csv == _sweep_csv(dataclasses.replace(config, workers=1), tmp_path / "serial.csv")
+
+
+def _frame_error_interval(n):
+    config = SweepConfig(snr_db_list=(8.0,), code=f"builtin:r12-n{n}", h_mode="blockdiag:32",
+                         nonlinearity="tanh", min_errors=10**9, max_seeds=32)
+    (point,) = ber_sweep(config)
+    return wilson_interval(point.frame_errors, point.frames)
+
+
+def test_longer_code_fails_fewer_frames_at_the_same_snr():
+    # the paper's headline at desk scale: on blockdiag:32/tanh at 8 dB, n2304's
+    # FER interval lies wholly below n128's; frames are the trials because the
+    # bit errors of one frame are not independent
+    lo128, _ = _frame_error_interval(128)
+    _, hi2304 = _frame_error_interval(2304)
+    assert hi2304 < lo128
 
 
 if __name__ == "__main__":
