@@ -139,38 +139,48 @@ def _rank_in_group(groups, num_groups):
 def _gf2_systematize(n, checks):
     """Drive an identity into the rightmost columns of H by row reduction.
 
-    Works on a dense copy.  Each target column, from the right, takes the
-    nearest column at or left of it that has a one in a free (not yet pivot)
-    row, swapped into place and recorded in the returned permutation (codeword
-    order [info | parity]); the first such row becomes its pivot and is
-    cleared from every other row.  Returns the parity map ``A`` with
-    ``parity = A @ info mod 2`` (rows ordered by parity position), the
-    permutation, and the indices of redundant (dependent) rows.
+    Works on H's rows packed eight columns to a byte (column ``c`` is bit
+    ``c & 7`` of byte ``c >> 3``), so a row XOR touches n / 8 bytes.  Each
+    target column, from the right, takes the nearest column at or left of it
+    that has a one in a free (not yet pivot) row, swapped into place and
+    recorded in the returned permutation (codeword order [info | parity]); the
+    first such row becomes its pivot and is cleared from every other row.
+    Returns the parity map ``A`` with ``parity = A @ info mod 2`` (rows ordered
+    by parity position), the permutation, and the indices of redundant
+    (dependent) rows.
     """
     m = len(checks)
-    h = np.zeros((m, n), dtype=np.uint8)
-    for i, vars_ in enumerate(checks):
-        h[i, vars_] = 1
+    hp = np.zeros((m, (n + 7) // 8), dtype=np.uint8)
+    cols = np.concatenate([np.empty(0, np.int64), *checks])
+    edge_rows = np.repeat(np.arange(m), [c.size for c in checks])
+    np.bitwise_or.at(hp, (edge_rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+
+    def column(c):
+        return (hp[:, c >> 3] >> (c & 7)) & 1
+
     perm = np.arange(n)
     free = np.ones(m, dtype=bool)
     pivots = []
     for target in range(n - 1, n - 1 - min(m, n), -1):
         for c in range(target, -1, -1):
-            rows = np.flatnonzero((h[:, c] == 1) & free)
+            ones = column(c)
+            rows = np.flatnonzero(ones.astype(bool) & free)
             if rows.size:
                 break
         else:
             break  # the free rows are all zero, hence redundant
         if c != target:
-            h[:, [c, target]] = h[:, [target, c]]
+            flip = ones ^ column(target)
+            hp[:, c >> 3] ^= flip << (c & 7)
+            hp[:, target >> 3] ^= flip << (target & 7)
             perm[[c, target]] = perm[[target, c]]
         r = rows[0]
         free[r] = False
-        others = h[:, target] == 1
+        others = ones.astype(bool)  # column target, swapped in
         others[r] = False
-        h[others] ^= h[r]
+        hp[others] ^= hp[r]
         pivots.append(r)
-    parity = h[pivots[::-1], :n - len(pivots)]
+    parity = np.unpackbits(hp[pivots[::-1]], axis=1, count=n - len(pivots), bitorder="little")
     return parity, perm, tuple(int(i) for i in np.flatnonzero(free))
 
 

@@ -9,9 +9,10 @@ passes each ``(snr, variant)`` pair's ``DecodeResult`` to the experiment's
 ``record(seed, pair, result)`` in seed order, and ``record`` says whether the
 pair keeps drawing seeds.  A BER point stops at ``min_errors`` errors or
 ``max_seeds`` seeds; an MSE trace records ``max_seeds`` seeds at one SNR.
-Seeds run in fixed-size blocks, optionally on a process pool, but a frame past
-its pair's stopping seed is never recorded, so the output is byte-identical at
-any worker count.
+One worker runs one seed at a time, so it decodes only the frames it records;
+a process pool runs fixed blocks of seeds and may decode frames past a pair's
+stopping seed, but those are never recorded, so the output is byte-identical
+at any worker count.
 
 CSV schemas (one header line, optional '#' metadata comments above it):
 
@@ -40,7 +41,7 @@ from .denoiser import LdpcCode
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
 
-_BLOCK_SIZE = 16  # fixed dispatch granularity, independent of worker count
+_BLOCK_SIZE = 16  # seeds per pooled dispatch, independent of worker count
 _Z = 1.96  # two-sided 95% normal quantile of wilson_interval
 
 
@@ -209,13 +210,14 @@ def _iterate_blocks(code, config, record):
 
     This is the only place that knows which ``(snr, variant)`` pairs are still
     drawing seeds.  Seeds ``0 .. max_seeds - 1`` (offset by ``master_seed``
-    for the draws) run in fixed blocks of ``_BLOCK_SIZE``, and every seed of a
-    block runs the pairs active when the block is dispatched.  ``record`` is
-    called once per active pair and seed, strictly in seed order, with
-    ``run_variant``'s result; a pair for which it returns False is never
-    recorded again, even for the rest of its block, and dispatching stops
-    once no pair is active.  With ``config.workers > 1`` the blocks run on a
-    spawned pool that lives for this call; a block holds at most
+    for the draws) run in blocks, and every seed of a block runs the pairs
+    active when the block is dispatched.  ``record`` is called once per
+    active pair and seed, strictly in seed order, with ``run_variant``'s
+    result; a pair for which it returns False is never recorded again, even
+    for the rest of its block, and dispatching stops once no pair is active.
+    With one worker a block is one seed, so no frame is decoded that is not
+    recorded.  With ``config.workers > 1`` blocks of ``_BLOCK_SIZE`` seeds
+    run on a spawned pool that lives for this call; a block holds at most
     ``min(_BLOCK_SIZE, max_seeds)`` seeds, so no more processes than that are
     started.
     """
@@ -225,10 +227,11 @@ def _iterate_blocks(code, config, record):
     ) if config.workers > 1 else None
     try:
         active = config.pairs
-        for start in range(0, config.max_seeds, _BLOCK_SIZE):
+        step = _BLOCK_SIZE if pool is not None else 1
+        for start in range(0, config.max_seeds, step):
             if not active:
                 break
-            block = range(start, min(start + _BLOCK_SIZE, config.max_seeds))
+            block = range(start, min(start + step, config.max_seeds))
             tasks = [(config.master_seed + s, active) for s in block]
             if pool is None:
                 results = [_seed_outcomes(code, config, *task) for task in tasks]

@@ -120,6 +120,39 @@ def gf2_rank(matrix):
     return rank
 
 
+def dense_gf2_systematize(n, checks):
+    """``denoiser._gf2_systematize`` on a dense 0/1 copy of H, one byte per entry.
+
+    The same right-to-left target loop, column search, swaps and pivot order,
+    so the two agree exactly on ``(parity, perm, redundant)``.
+    """
+    m = len(checks)
+    h = np.zeros((m, n), dtype=np.uint8)
+    for i, vars_ in enumerate(checks):
+        h[i, vars_] = 1
+    perm = np.arange(n)
+    free = np.ones(m, dtype=bool)
+    pivots = []
+    for target in range(n - 1, n - 1 - min(m, n), -1):
+        for c in range(target, -1, -1):
+            rows = np.flatnonzero((h[:, c] == 1) & free)
+            if rows.size:
+                break
+        else:
+            break  # the free rows are all zero, hence redundant
+        if c != target:
+            h[:, [c, target]] = h[:, [target, c]]
+            perm[[c, target]] = perm[[target, c]]
+        r = rows[0]
+        free[r] = False
+        others = h[:, target] == 1
+        others[r] = False
+        h[others] ^= h[r]
+        pivots.append(r)
+    parity = h[pivots[::-1], :n - len(pivots)]
+    return parity, perm, tuple(int(i) for i in np.flatnonzero(free))
+
+
 def log_gaussian_coupling_normalizer(h, rx_mean, vx, rw_mean, vw):
     """Closed-form log of int N(x; rx, vx I) N(Hx; rw, vw I) dx.
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import HAMMING74_ALIST, SPC3_ALIST
 from oracles import (
+    dense_gf2_systematize,
     enumerate_codewords,
     exhaustive_symbol_posterior,
     gf2_rank,
@@ -14,6 +15,7 @@ from scvamp.denoiser import (
     LLR_MAX,
     AlistParseError,
     LdpcCode,
+    _gf2_systematize,
     bernoulli_moments,
     bp_decode,
     encode,
@@ -172,6 +174,30 @@ def test_from_checks_validation():
         LdpcCode.from_checks(3, [[0, 3]])
     with pytest.raises(ValueError):
         LdpcCode.from_checks(3, [[1, 1]])
+
+
+_ELIMINATION_CODES = {
+    "redundant-rows": lambda: (3, [[0, 1, 2], [0, 1, 2]]),
+    "irregular": lambda: (
+        40, _irregular_checks(40, [12, 1, 9, 5, 2, 10, 7, 3, 11, 4, 6, 8] * 2, seed=8)),
+    "empty-checks": lambda: (4, [[], [0, 1], []]),
+    # n not a multiple of 8 leaves the last packed byte part-filled (the greedy
+    # placement jams at n = 30 for every seed make_regular_code tries)
+    **{f"regular-{n}-seed{seed}": (lambda n=n, seed=seed: (n, make_regular_code(n, seed).checks))
+       for n, seed in ((36, 1), (36, 2), (42, 3), (60, 4))},
+}
+
+
+@pytest.mark.parametrize("name", _ELIMINATION_CODES)
+def test_packed_elimination_matches_dense_oracle(name):
+    n, checks = _ELIMINATION_CODES[name]()
+    checks = [np.sort(np.asarray(c, dtype=np.int64)) for c in checks]
+    parity, perm, redundant = _gf2_systematize(n, checks)
+    want_parity, want_perm, want_redundant = dense_gf2_systematize(n, checks)
+    assert parity.dtype == want_parity.dtype
+    np.testing.assert_array_equal(parity, want_parity)
+    np.testing.assert_array_equal(perm, want_perm)
+    assert redundant == want_redundant
 
 
 # ---------------------------------------------------------------------------

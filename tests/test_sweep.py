@@ -106,39 +106,8 @@ def test_each_experiment_picks_its_stop_rule(monkeypatch):
     assert seen == [True] * 4
 
 
-def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
-    # the dispatcher alone keeps the active set: a pair whose record returns False is never
-    # recorded again, and the blocks dispatched after that leave it out of their work
-    config = SweepConfig(snr_db_list=(4.0, 6.0), code="builtin:r12-n128", h_mode="iid:96x128",
-                         max_seeds=40, master_seed=100)
-    pair_a, pair_b = config.pairs
-    works = {}
-
-    def stub(code, config, seed, work):
-        works[seed] = list(work)
-        return {pair: (seed, pair) for pair in work}
-
-    monkeypatch.setattr(scvamp.experiment, "_seed_outcomes", stub)
-    recorded = {pair_a: [], pair_b: []}
-
-    def record(seed, pair, result):
-        assert result == (100 + seed, pair)
-        recorded[pair].append(seed)
-        return pair != pair_a or seed < 3
-
-    scvamp.experiment._iterate_blocks(None, config, record)
-    assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
-    assert sorted(works) == list(range(100, 140))
-    assert all(works[100 + s] == [pair_a, pair_b] for s in range(16))
-    assert all(works[100 + s] == [pair_b] for s in range(16, 40))
-
-
-@pytest.mark.parametrize("workers, max_seeds, size", [
-    pytest.param(64, 24, 16, id="64-16"),
-    pytest.param(3, 24, 3, id="3-3"),
-    pytest.param(8, 3, 3, id="8-3-max_seeds3"),  # a block of 3 seeds needs 3 processes
-])
-def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, max_seeds, size):
+def _pool_in_process(monkeypatch):
+    """Route ``_iterate_blocks``' pool through an in-process stand-in; returns its sizes."""
     sizes = []
 
     class InProcessPool:
@@ -157,6 +126,77 @@ def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers,
     monkeypatch.setattr(scvamp.experiment, "_POOL_STATE", {})
     monkeypatch.setattr(scvamp.experiment.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=InProcessPool))
+    return sizes
+
+
+def _dispatch(monkeypatch, workers):
+    """Run ``_iterate_blocks`` on stub outcomes; pair_a's record says stop at seed 3.
+
+    Returns the two pairs, the seeds ``record`` saw per pair, and the work
+    dispatched per drawn seed.
+    """
+    config = SweepConfig(snr_db_list=(4.0, 6.0), code="builtin:r12-n128", h_mode="iid:96x128",
+                         max_seeds=40, master_seed=100, workers=workers)
+    pair_a, pair_b = config.pairs
+    works = {}
+
+    def stub(code, config, seed, work):
+        works[seed] = list(work)
+        return {pair: (seed, pair) for pair in work}
+
+    monkeypatch.setattr(scvamp.experiment, "_seed_outcomes", stub)
+    _pool_in_process(monkeypatch)
+    recorded = {pair_a: [], pair_b: []}
+
+    def record(seed, pair, result):
+        assert result == (100 + seed, pair)
+        recorded[pair].append(seed)
+        return pair != pair_a or seed < 3
+
+    scvamp.experiment._iterate_blocks(None, config, record)
+    return (pair_a, pair_b), recorded, works
+
+
+def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
+    # the dispatcher alone keeps the active set: a pair whose record returns False is never
+    # recorded again, and one worker leaves it out of every seed after that
+    (pair_a, pair_b), recorded, works = _dispatch(monkeypatch, workers=1)
+    assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
+    assert sorted(works) == list(range(100, 140))
+    assert all(works[100 + s] == [pair_a, pair_b] for s in range(4))
+    assert all(works[100 + s] == [pair_b] for s in range(4, 40))
+
+
+def test_pooled_dispatcher_runs_whole_blocks(monkeypatch):
+    # a pool keeps a stopped pair in the rest of its 16-seed block but never records it
+    (pair_a, pair_b), recorded, works = _dispatch(monkeypatch, workers=2)
+    assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
+    assert sorted(works) == list(range(100, 140))
+    assert all(works[100 + s] == [pair_a, pair_b] for s in range(16))
+    assert all(works[100 + s] == [pair_b] for s in range(16, 40))
+
+
+def test_serial_sweep_decodes_only_recorded_frames(monkeypatch):
+    calls = []
+    original = scvamp.experiment.run_variant
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scvamp.experiment, "run_variant", counted)
+    points = ber_sweep(dataclasses.replace(PINNED, snr_db_list=(4.0, 6.0)))
+    assert sorted(p.frames for p in points) == [2, 4, 4, 13]  # stops within one 16-seed block
+    assert len(calls) == sum(p.frames for p in points)
+
+
+@pytest.mark.parametrize("workers, max_seeds, size", [
+    pytest.param(64, 24, 16, id="64-16"),
+    pytest.param(3, 24, 3, id="3-3"),
+    pytest.param(8, 3, 3, id="8-3-max_seeds3"),  # a block of 3 seeds needs 3 processes
+])
+def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, max_seeds, size):
+    sizes = _pool_in_process(monkeypatch)
     config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers, max_seeds=max_seeds)
     csv = _sweep_csv(config, tmp_path / "pooled.csv")
     assert sizes == [size]
