@@ -4,9 +4,9 @@ The code enters the receiver as a soft-input soft-output denoiser: the
 incoming pseudo-observation is converted into channel LLRs ``L = 2 r / v``
 (``llr_from_pseudo``), run through flooding sum-product decoding on the Tanner
 graph (``bp_decode``), and the a-posteriori LLRs are mapped back to symbol
-moments ``tanh(L/2)`` (``bernoulli_moments``).  The runner takes the Onsager
-coefficient as the variance-ratio surrogate posterior/input, since BP
-posteriors on loopy graphs are approximate.
+moments ``tanh(L/2)`` (``bernoulli_moments``).  ``runner.denoiser_step`` chains
+the three and takes the Onsager coefficient as the variance-ratio surrogate
+posterior/input, since BP posteriors on loopy graphs are approximate.
 
 Sign convention throughout: bit 0 maps to symbol +1, so positive LLR means
 "bit 0 / symbol +1".  LLRs are saturated at ``LLR_MAX`` on input and the check
@@ -231,6 +231,8 @@ def parse_alist(text) -> LdpcCode:
     if len(header) != 2 or header[0] <= 0 or header[1] < 0:
         raise AlistParseError(f"malformed header {header!r}, expected 'n m'", line=lineno)
     n, m = header
+    if m == 0:  # the row-degree line is empty, so it was skipped with the blank lines
+        rows.insert(3, (rows[2][0], []))
     lineno, maxdeg = rows[1]
     if len(maxdeg) != 2:
         raise AlistParseError("expected 'max_col_degree max_row_degree'", line=lineno)
@@ -296,8 +298,8 @@ def serialize_alist(code: LdpcCode) -> str:
     max_col = max(col_deg, default=0)
     max_row = max(row_deg, default=0)
 
-    def fmt(indices, width):
-        padded = [i + 1 for i in sorted(indices)] + [0] * (width - len(indices))
+    def fmt(indices, width):  # a zero-degree line still reads "0", never blank
+        padded = [i + 1 for i in sorted(indices)] + [0] * (max(width, 1) - len(indices))
         return " ".join(str(v) for v in padded)
 
     out = [f"{n} {m}", f"{max_col} {max_row}"]

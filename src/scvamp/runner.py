@@ -20,14 +20,14 @@ row of ``POLICIES`` each:
     no-onsager          no       no              no
     llr-turbo           yes      no              yes
 
-* ``onsager`` - every stage forwards its Onsager-corrected extrinsic message;
-  otherwise it forwards its posterior (mean and posterior variance).
+* ``onsager`` - :func:`_send` forwards every stage's Onsager-corrected
+  extrinsic message; otherwise it forwards its posterior (mean and variance).
 * ``identity_model`` - the observation stage assumes ``f = id`` at the
   channel's noise variance, whatever the true nonlinearity; its extrinsic
   output is then ``(y, sigma2)`` on every iteration.
 * ``llr_subtraction`` - the decoder forwards the classical extrinsic LLRs
   ``L_app - L_in`` mapped to Bernoulli moments instead of its ``onsager``
-  output.
+  output; :func:`denoiser_step`, the code stage's one entry point, applies it.
 
 No damping is applied anywhere.  A non-finite message aborts the trial with
 the divergence flag set and every bit of the frame scored as an error.
@@ -43,13 +43,11 @@ import numpy as np
 
 from .channel import Realization, TrialScenario, bpsk
 from .coupling import coupling_posterior
-from .denoiser import bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
+from .denoiser import LdpcCode, bernoulli_moments, bp_decode, llr_from_pseudo, syndrome
 from .likelihood import ChannelSpec, likelihood_step
 from .messages import DivergenceError, GaussianMessage, PosteriorSummary, extrinsic
 
-# forwarded posteriors and saturated decodes can carry exactly-zero variance;
-# messages need > 0
-_VARIANCE_FLOOR = 1e-15
+_VARIANCE_FLOOR = 1e-15  # saturated posteriors and decodes can have variance 0; messages need > 0
 
 
 class Variant(str, Enum):
@@ -108,8 +106,25 @@ class DecodeResult:
     diverged: bool = False
 
 
-def _posterior_message(post: PosteriorSummary) -> GaussianMessage:
-    return GaussianMessage(post.mean, max(post.variance, _VARIANCE_FLOOR))
+def _send(policy: Policy, msg_in: GaussianMessage, post: PosteriorSummary, ext=None):
+    """The message a stage forwards: its floored posterior without ``onsager``,
+    else ``ext``, or ``extrinsic(msg_in, post)`` when no ``ext`` is given."""
+    if not policy.onsager:
+        return GaussianMessage(post.mean, max(post.variance, _VARIANCE_FLOOR))
+    return extrinsic(msg_in, post) if ext is None else ext
+
+
+def denoiser_step(msg: GaussianMessage, code: LdpcCode, bp_iters: int, policy: Policy):
+    """Code stage: LLRs of ``msg``, BP, Bernoulli moments; returns (forwarded, posterior)."""
+    llr_in = llr_from_pseudo(msg)
+    llr_app = bp_decode(code, llr_in, bp_iters)
+    means, variance = bernoulli_moments(llr_app)
+    post = PosteriorSummary(means, variance, variance / msg.variance)
+    ext = None
+    if policy.llr_subtraction:
+        ext_means, ext_var = bernoulli_moments(llr_app - llr_in)
+        ext = GaussianMessage(ext_means, max(ext_var, _VARIANCE_FLOOR))
+    return _send(policy, msg, post, ext), post
 
 
 def run_variant(
@@ -135,10 +150,7 @@ def run_variant(
     model = ChannelSpec("id", spec.noise_variance) if policy.identity_model else spec
     n = code.n
 
-    def forward(msg_in, post):
-        return extrinsic(msg_in, post) if policy.onsager else _posterior_message(post)
-
-    mse, vxs, vws, alphas = [], [], [], []
+    rows = []  # per iteration: mse, v_x, v_w and the three stages' alphas
     x_hat = np.zeros(n)
     prev_bits = None
     converged_at = None
@@ -151,27 +163,17 @@ def run_variant(
         rw_msg = likelihood_step(prior_w, y, model)[0]
         for t in range(1, int(outer_iters) + 1):
             x_post_c, w_post_c = coupling_posterior(rx_msg, rw_msg, mix)
-            to_denoiser = forward(rx_msg, x_post_c)
-            to_observer = forward(rw_msg, w_post_c)
+            to_denoiser = _send(policy, rx_msg, x_post_c)
+            to_observer = _send(policy, rw_msg, w_post_c)
 
-            llr_in = llr_from_pseudo(to_denoiser)
-            llr_app = bp_decode(code, llr_in, bp_iters)
-            means, v_post_b = bernoulli_moments(llr_app)
-            post_b = PosteriorSummary(means, v_post_b, v_post_b / to_denoiser.variance)
-            if policy.llr_subtraction:
-                ext_means, ext_var = bernoulli_moments(llr_app - llr_in)
-                rx_msg = GaussianMessage(ext_means, max(ext_var, _VARIANCE_FLOOR))
-            else:
-                rx_msg = forward(to_denoiser, post_b)
+            rx_msg, post_b = denoiser_step(to_denoiser, code, bp_iters, policy)
             x_hat = post_b.mean
 
             ext_w, post_a = likelihood_step(to_observer, y, model)
-            rw_msg = ext_w if policy.onsager else _posterior_message(post_a)
+            rw_msg = _send(policy, to_observer, post_a, ext_w)
 
-            mse.append(float(np.mean((x_hat - symbols) ** 2)))
-            vxs.append(rx_msg.variance)
-            vws.append(rw_msg.variance)
-            alphas.append((x_post_c.alpha, post_a.alpha, post_b.alpha))
+            rows.append((float(np.mean((x_hat - symbols) ** 2)), rx_msg.variance,
+                         rw_msg.variance, x_post_c.alpha, post_a.alpha, post_b.alpha))
 
             bits = (x_hat < 0).astype(np.uint8)
             if (
@@ -187,10 +189,8 @@ def run_variant(
     except DivergenceError:
         diverged = True
 
-    trace = IterationTrace(
-        np.asarray(mse), np.asarray(vxs), np.asarray(vws),
-        np.asarray(alphas).reshape(len(mse), 3),
-    )
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    trace = IterationTrace(*table[:, :3].T.copy(), table[:, 3:].copy())
     hard_bits = (x_hat < 0).astype(np.uint8)
     if diverged:
         bit_errors = n

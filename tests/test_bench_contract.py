@@ -52,6 +52,12 @@ def test_traced_sweep_reaches_every_layer_and_records_each_frame():
         ("scvamp3", 6.0, 0, 128), ("scvamp3", 6.0, 1, 128)]
     assert sum(f[3] for f in trace.frames) == point.bit_errors
     assert trace.counts["runner.outer_iters"] > 0
+    # every stage call goes through a wrapped name: one coupling and one denoiser
+    # call per outer iteration, and one likelihood call more per frame, its start
+    calls = {layer: rec["calls"] for layer, rec in trace.summary().items()}
+    assert calls["coupling"] == calls["denoiser"] == trace.counts["runner.outer_iters"]
+    assert calls["likelihood"] == trace.counts["runner.outer_iters"] + len(trace.frames)
+    assert trace.counts["runner.diverged"] == 0
     assert trace.counts["likelihood.components"] > 0
     assert trace.counts["denoiser.edge_updates"] > 0
 

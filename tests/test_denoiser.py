@@ -117,7 +117,9 @@ def test_parse_skips_blank_lines(hamming74):
 
 
 def test_alist_roundtrip(hamming74, spc3):
-    for code in (hamming74, spc3, make_regular_code(48, seed=2)):
+    # the last two: a code with no checks, and one whose two checks have degree 0
+    for code in (hamming74, spc3, make_regular_code(48, seed=2),
+                 LdpcCode.from_checks(16, []), LdpcCode.from_checks(4, [[], []])):
         again = parse_alist(serialize_alist(code))
         assert again.n == code.n and again.k == code.k
         assert len(again.checks) == len(code.checks)

@@ -6,11 +6,11 @@ import pytest
 import scvamp.runner as runner_mod
 from scvamp.channel import realize
 from scvamp.codes import load_code
-from scvamp.denoiser import LdpcCode
+from scvamp.denoiser import LdpcCode, bernoulli_moments, bp_decode, llr_from_pseudo
 from scvamp.experiment import build_scenario
 from scvamp.likelihood import ChannelSpec
-from scvamp.messages import DivergenceError
-from scvamp.runner import Variant, run_variant
+from scvamp.messages import DivergenceError, GaussianMessage, extrinsic
+from scvamp.runner import POLICIES, Variant, _send, denoiser_step, run_variant
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,89 @@ def test_divergence_aborts_and_scores_full_frame(code128, monkeypatch):
     assert res.diverged
     assert res.bit_errors == code128.n
     assert len(res.trace) == 0
+    assert res.trace.alphas.shape == (0, 3)
+    for name in ("mse", "v_x", "v_w"):
+        assert getattr(res.trace, name).shape == (0,)
+    for name in ("mse", "v_x", "v_w", "alphas"):
+        assert getattr(res.trace, name).dtype == np.float64
+
+
+def test_divergence_in_iteration_two_keeps_its_denoiser_decision(code128, monkeypatch):
+    # the observation stage's third call is iteration 2's (the first starts the w
+    # side); it blows up after iteration 2's denoiser has decided the bits
+    scenario, truth = _trial(code128, "iid:128x128", 6.0, "id", 7)
+    one, two = (run_variant(Variant.SCVAMP3, truth, scenario, t, 5) for t in (1, 2))
+    assert not np.array_equal(one.hard_bits, two.hard_bits)
+    calls = []
+    original = runner_mod.likelihood_step
+
+    def third_call_explodes(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DivergenceError("synthetic blow-up")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "likelihood_step", third_call_explodes)
+    res = run_variant(Variant.SCVAMP3, truth, scenario, 5, 5)
+    assert res.diverged
+    assert res.bit_errors == code128.n
+    assert len(res.trace) == 1
+    for name in ("mse", "v_x", "v_w", "alphas"):
+        np.testing.assert_array_equal(getattr(res.trace, name), getattr(one.trace, name))
+    np.testing.assert_array_equal(res.hard_bits, two.hard_bits)
+
+
+def _noisy_codeword(code, variance, seed):
+    # the all-zero codeword's symbols, +1, seen at the given variance
+    noise = np.random.default_rng(seed).standard_normal(code.n)
+    return GaussianMessage(1.0 + np.sqrt(variance) * noise, variance)
+
+
+def test_no_onsager_forwards_the_floored_posterior(code128, monkeypatch):
+    # a strong input saturates BP: the posterior variance is exactly 0, and only the
+    # floor keeps the forwarded message a valid one
+    policy = POLICIES[Variant.NO_ONSAGER]
+    msg = GaussianMessage(np.ones(code128.n), 0.1)
+    sent, post = denoiser_step(msg, code128, 5, policy)
+    assert post.variance == 0.0
+    assert sent.variance == 1e-15
+    np.testing.assert_array_equal(sent.mean, post.mean)
+    # a stage's own extrinsic is ignored, and none is computed in a whole run
+    again = _send(policy, msg, post, extrinsic(msg, post))
+    assert again.variance == 1e-15
+    np.testing.assert_array_equal(again.mean, post.mean)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("no-onsager computed an extrinsic message")
+
+    monkeypatch.setattr(runner_mod, "extrinsic", unused)
+    scenario, truth = _trial(code128, "blockdiag:32", 8.0, "tanh", 4)
+    assert not run_variant(Variant.NO_ONSAGER, truth, scenario, 4, 5).diverged
+
+
+def test_onsager_forwards_the_extrinsic_bit_for_bit(code128):
+    policy = POLICIES[Variant.SCVAMP3]
+    msg = _noisy_codeword(code128, 0.8, 1)
+    sent, post = denoiser_step(msg, code128, 5, policy)
+    want = extrinsic(msg, post)
+    np.testing.assert_array_equal(sent.mean.view(np.int64), want.mean.view(np.int64))
+    assert sent.variance == want.variance
+    # a stage that computes its own extrinsic has it forwarded as it is
+    assert _send(policy, msg, post, want) is want
+
+
+def test_llr_turbo_forwards_the_classical_extrinsic_floored(code128):
+    policy = POLICIES[Variant.LLR_TURBO]
+    # a noisy input, then a strong one whose classical extrinsic saturates
+    for msg in (_noisy_codeword(code128, 0.8, 2), GaussianMessage(np.ones(code128.n), 0.1)):
+        sent, post = denoiser_step(msg, code128, 5, policy)
+        llr_in = llr_from_pseudo(msg)
+        llr_app = bp_decode(code128, llr_in, 5)
+        means, variance = bernoulli_moments(llr_app - llr_in)
+        np.testing.assert_array_equal(sent.mean, means)
+        assert sent.variance == max(variance, 1e-15)
+        np.testing.assert_array_equal(post.mean, bernoulli_moments(llr_app)[0])
+    assert variance == 0.0  # the strong input reached the floor
 
 
 def test_tanh_high_snr_decodes_majority(code128):
