@@ -6,7 +6,8 @@ posterior moments of ``w`` from ``y``), and an LDPC BP denoiser for the code
 constraint, all exchanging Onsager-corrected mean-variance messages.
 
 The package re-exports nothing; every name lives in its module: the stages
-in ``scvamp.coupling``, ``scvamp.likelihood`` and ``scvamp.denoiser``, the
-outer loop in ``scvamp.runner`` and the sweeps in ``scvamp.experiment``.
+in ``scvamp.coupling``, ``scvamp.likelihood`` and ``scvamp.denoiser``, code
+files and the bundled codes in ``scvamp.codes``, the outer loop in
+``scvamp.runner`` and the sweeps in ``scvamp.experiment``.
 ``python -m scvamp`` runs the command line in ``scvamp.cli``.
 """

@@ -1,4 +1,4 @@
-"""LDPC code-constraint stage: alist I/O, GF(2) encoder, BP decoding.
+"""LDPC code-constraint stage: the code, its GF(2) encoder, BP decoding.
 
 The code enters the receiver as a soft-input soft-output denoiser: the
 incoming pseudo-observation is converted into channel LLRs ``L = 2 r / v``
@@ -6,7 +6,8 @@ incoming pseudo-observation is converted into channel LLRs ``L = 2 r / v``
 graph (``bp_decode``), and the a-posteriori LLRs are mapped back to symbol
 moments ``tanh(L/2)`` (``bernoulli_moments``).  ``runner.denoiser_step`` chains
 the three and takes the Onsager coefficient as the variance-ratio surrogate
-posterior/input, since BP posteriors on loopy graphs are approximate.
+posterior/input, since BP posteriors on loopy graphs are approximate.  Code
+files are read and written in ``scvamp.codes``.
 
 Sign convention throughout: bit 0 maps to symbol +1, so positive LLR means
 "bit 0 / symbol +1".  LLRs are saturated at ``LLR_MAX`` on input and the check
@@ -14,8 +15,8 @@ update clips ``|tanh|`` away from 1, which keeps every message finite without
 touching the error-rate floor at the SNRs of interest.
 
 The decoder works on a slot layout that ``LdpcCode.from_checks`` builds once
-per code; it is the code's only per-edge structure, and ``syndrome`` XORs
-through it too.  Check-to-variable messages are a ``(d_c_max, m)`` array whose
+per code from ``checks``, which lists every edge too; BP and ``syndrome`` read
+only the slots.  Check-to-variable messages are a ``(d_c_max, m)`` array whose
 column ``i`` holds check ``i``'s edges in edge order, padded at the bottom;
 ``var_slots`` is a ``(d_v_max, n)`` array of the flat slots of each
 variable's edges in edge order, whose pads read a 0.0 sentinel.  An iteration
@@ -41,16 +42,6 @@ LLR_MAX = 30.0
 _TANH_CLIP = 1.0 - 1e-12
 
 
-class AlistParseError(ValueError):
-    """Malformed alist input; carries the 1-based line number when known."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 @dataclass(frozen=True, eq=False)
 class LdpcCode:
     """Sparse binary parity-check code with a derived systematic encoder.
@@ -62,8 +53,8 @@ class LdpcCode:
     so info bits are always recoverable as ``codeword[column_permutation[:k]]``.
     Rows that are linearly dependent over GF(2) are kept for decoding but
     flagged in ``redundant_checks`` and excluded from the encoder, with
-    ``k = n - rank``.  The Tanner graph's edges are held only in the slot
-    layout ``slot_var``/``var_slots``/``pad_slots`` (see ``_slot_layout``).
+    ``k = n - rank``.  Every edge is in ``checks`` and again in the slot layout
+    ``slot_var``/``var_slots``/``pad_slots`` that BP reads (see ``_slot_layout``).
     """
 
     n: int
@@ -200,114 +191,6 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
     padded = np.zeros(code.var_slots.shape[1] + 1, dtype=np.uint8)  # a 0 at the pad index
     padded[:code.n] = np.asarray(bits, dtype=np.uint8) & 1
     return np.bitwise_xor.reduce(padded[code.slot_var], axis=0)[:code.num_checks]
-
-
-# ---------------------------------------------------------------------------
-# alist interchange format
-# ---------------------------------------------------------------------------
-
-def parse_alist(text) -> LdpcCode:
-    """Parse the standard alist description of a sparse parity-check matrix.
-
-    Layout: header ``n m``, max column/row degrees, the two degree lists, then
-    one adjacency line per column and per row (1-indexed, optionally padded
-    with zeros up to the max degree).  Zeros anywhere among the first
-    ``degree`` entries of a line are an error, as are out-of-range indices.
-    """
-    lines = text.splitlines()
-    rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            rows.append((lineno, [int(tok) for tok in stripped.split()]))
-        except ValueError:
-            raise AlistParseError(f"non-integer token in {stripped!r}", line=lineno)
-    if len(rows) < 4:
-        raise AlistParseError("file too short for an alist header")
-
-    lineno, header = rows[0]
-    if len(header) != 2 or header[0] <= 0 or header[1] < 0:
-        raise AlistParseError(f"malformed header {header!r}, expected 'n m'", line=lineno)
-    n, m = header
-    if m == 0:  # the row-degree line is empty, so it was skipped with the blank lines
-        rows.insert(3, (rows[2][0], []))
-    lineno, maxdeg = rows[1]
-    if len(maxdeg) != 2:
-        raise AlistParseError("expected 'max_col_degree max_row_degree'", line=lineno)
-    lineno, col_deg = rows[2]
-    if len(col_deg) != n:
-        raise AlistParseError(f"expected {n} column degrees, got {len(col_deg)}", line=lineno)
-    lineno, row_deg = rows[3]
-    if len(row_deg) != m:
-        raise AlistParseError(f"expected {m} row degrees, got {len(row_deg)}", line=lineno)
-    if sum(col_deg) != sum(row_deg):
-        raise AlistParseError("column and row degree lists disagree on the edge count",
-                              line=lineno)
-    if len(rows) != 4 + n + m:
-        raise AlistParseError(
-            f"expected {4 + n + m} non-empty lines, found {len(rows)}",
-            line=rows[-1][0],
-        )
-
-    def read_adjacency(entries, lineno, degree, upper, what):
-        if len(entries) < degree:
-            raise AlistParseError(
-                f"{what} lists {len(entries)} entries but declares degree {degree}",
-                line=lineno,
-            )
-        head, tail = entries[:degree], entries[degree:]
-        if any(e <= 0 for e in head):
-            raise AlistParseError(f"{what} has a zero/negative index among its entries",
-                                  line=lineno)
-        if any(e > upper for e in head):
-            raise AlistParseError(f"{what} index out of range (max {upper})", line=lineno)
-        if any(e != 0 for e in tail):
-            raise AlistParseError(f"{what} padding must be zeros", line=lineno)
-        return [e - 1 for e in head]
-
-    col_edges = set()
-    for j in range(n):
-        lineno, entries = rows[4 + j]
-        for i in read_adjacency(entries, lineno, col_deg[j], m, f"column {j + 1}"):
-            col_edges.add((i, j))
-    checks = []
-    row_edges = set()
-    for i in range(m):
-        lineno, entries = rows[4 + n + i]
-        vars_ = read_adjacency(entries, lineno, row_deg[i], n, f"row {i + 1}")
-        if len(set(vars_)) != len(vars_):
-            raise AlistParseError(f"row {i + 1} lists a variable twice", line=lineno)
-        checks.append(vars_)
-        row_edges.update((i, j) for j in vars_)
-    if col_edges != row_edges:
-        raise AlistParseError("column and row adjacency sections describe different matrices")
-    return LdpcCode.from_checks(n, checks)
-
-
-def serialize_alist(code: LdpcCode) -> str:
-    """Render a code back to alist text (sorted adjacency, zero-padded)."""
-    n, m = code.n, code.num_checks
-    cols = [[] for _ in range(n)]
-    for i, vars_ in enumerate(code.checks):
-        for j in vars_:
-            cols[int(j)].append(i)
-    col_deg = [len(c) for c in cols]
-    row_deg = [len(c) for c in code.checks]
-    max_col = max(col_deg, default=0)
-    max_row = max(row_deg, default=0)
-
-    def fmt(indices, width):  # a zero-degree line still reads "0", never blank
-        padded = [i + 1 for i in sorted(indices)] + [0] * (max(width, 1) - len(indices))
-        return " ".join(str(v) for v in padded)
-
-    out = [f"{n} {m}", f"{max_col} {max_row}"]
-    out.append(" ".join(str(d) for d in col_deg))
-    out.append(" ".join(str(d) for d in row_deg))
-    out.extend(fmt(c, max_col) for c in cols)
-    out.extend(fmt(list(map(int, vars_)), max_row) for vars_ in code.checks)
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scvamp.denoiser import LdpcCode, parse_alist
+from scvamp.codes import parse_alist
+from scvamp.denoiser import LdpcCode
 from scvamp.likelihood import likelihood_step
 from scvamp.messages import GaussianMessage
 

@@ -19,9 +19,9 @@ from oracles import (
     trapezoid_tanh_moments,
 )
 from scvamp.channel import realize
-from scvamp.codes import BUILTIN_CODES, load_code
+from scvamp.codes import builtin_code_ids, load_code, parse_alist, serialize_alist
 from scvamp.coupling import coupling_posterior, precompute
-from scvamp.denoiser import LdpcCode, bp_decode, parse_alist, serialize_alist
+from scvamp.denoiser import LdpcCode, bp_decode
 from scvamp.experiment import SweepConfig, ber_sweep, build_scenario, wilson_interval
 from scvamp.likelihood import ChannelSpec, likelihood_step, log_normalizer
 from scvamp.messages import GaussianMessage, PosteriorSummary, extrinsic
@@ -327,7 +327,7 @@ def test_criterion_11_deterministic_sweeps(tmp_path):
 
 def test_criterion_12_alist_roundtrip_all_bundled():
     bad = []
-    for code_id in sorted(BUILTIN_CODES):
+    for code_id in builtin_code_ids():
         code = load_code(f"builtin:{code_id}")[0]
         again = parse_alist(serialize_alist(code))
         same = (
@@ -338,5 +338,5 @@ def test_criterion_12_alist_roundtrip_all_bundled():
         )
         if not same:
             bad.append(code_id)
-    _report(12, not bad, f"parse -> serialize -> parse identical for {len(BUILTIN_CODES)} "
+    _report(12, not bad, f"parse -> serialize -> parse identical for {len(builtin_code_ids())} "
                          f"bundled codes{'; failed: ' + str(bad) if bad else ''}")

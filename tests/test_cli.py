@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from scvamp.cli import build_parser, main, parse_cli
-from scvamp.codegen import make_regular_code
-from scvamp.codes import builtin_code_ids, load_code
-from scvamp.denoiser import serialize_alist
+from scvamp.codes import builtin_code_ids, load_code, make_regular_code, serialize_alist
 from scvamp.experiment import (
     SweepConfig,
     _atomic_write,

@@ -1,12 +1,22 @@
-"""The bundled codes are what README says they are, and their recorded seeds rebuild them."""
+"""The bundled codes are what README says, their seeds rebuild them, and headers read alike."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from scvamp.codegen import make_regular_code
-from scvamp.codes import builtin_code_ids, load_code
+from conftest import SPC3_ALIST
+from scvamp.codes import (
+    BUILTIN_SEEDS,
+    AlistParseError,
+    builtin_code_ids,
+    code_length,
+    load_code,
+    make_regular_checks,
+    make_regular_code,
+    serialize_alist,
+)
+from scvamp.denoiser import LdpcCode
 
 
 @pytest.mark.parametrize("code_id", builtin_code_ids())
@@ -24,13 +34,49 @@ def test_builtin_code_is_regular_four_cycle_free_full_rank(code_id):
     assert overlap.max() <= 1.0
 
 
-@pytest.mark.parametrize("n, seed", [(128, 2), (256, 1), (512, 1), (1056, 1), (2304, 1)])
+@pytest.mark.parametrize("n, seed", BUILTIN_SEEDS.items())
 def test_recorded_seed_rebuilds_builtin_code(n, seed):
     shipped = load_code(f"builtin:r12-n{n}")[0].checks
     rebuilt = make_regular_code(n, seed=seed).checks
     assert len(rebuilt) == len(shipped)
     for row, (got, want) in enumerate(zip(rebuilt, shipped)):
         np.testing.assert_array_equal(got, want, err_msg=f"check {row}")
+
+
+def test_generator_rejects_a_length_without_a_regular_code():
+    with pytest.raises(ValueError, match=r"n\*3 must be divisible by 6"):
+        make_regular_checks(7, 0)
+
+
+def test_generator_gives_up_after_its_seed_budget():
+    # the greedy placement jams at n = 30 for every seed it tries
+    with pytest.raises(RuntimeError, match="within 50 seeds starting at 0"):
+        make_regular_code(30, 0)
+
+
+_SPC3_BODY = SPC3_ALIST.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("text", [
+    "+3 1\n" + _SPC3_BODY,
+    "\x1c\n" + SPC3_ALIST,  # str.strip counts \x1c as blank, bytes.strip does not
+    "3\t1\n" + _SPC3_BODY,
+    serialize_alist(LdpcCode.from_checks(16, [])),  # m = 0: no row-degree line
+], ids=["plus-sign", "separator-line", "tab", "no-checks"])
+def test_header_lookup_agrees_with_load(tmp_path, text):
+    path = tmp_path / "c.alist"
+    path.write_bytes(text.encode("ascii"))
+    assert code_length(str(path)) == load_code(str(path))[0].n
+
+
+@pytest.mark.parametrize("header", ["3", "0 1", "3 -1", "3 x"])
+def test_header_lookup_and_load_reject_the_same_header(tmp_path, header):
+    path = tmp_path / "c.alist"
+    path.write_text(f"{header}\n{_SPC3_BODY}")
+    with pytest.raises(ValueError, match="alist header"):
+        code_length(str(path))
+    with pytest.raises(AlistParseError):
+        load_code(str(path))
 
 
 # sha256 over the shape and bytes of the encoder's permutation, parity map and

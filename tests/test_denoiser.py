@@ -9,19 +9,22 @@ from oracles import (
     gf2_rank,
     reference_bp_decode,
 )
-from scvamp.codegen import make_regular_code
-from scvamp.codes import builtin_code_ids, load_code
+from scvamp.codes import (
+    AlistParseError,
+    builtin_code_ids,
+    load_code,
+    make_regular_code,
+    parse_alist,
+    serialize_alist,
+)
 from scvamp.denoiser import (
     LLR_MAX,
-    AlistParseError,
     LdpcCode,
     _gf2_systematize,
     bernoulli_moments,
     bp_decode,
     encode,
     llr_from_pseudo,
-    parse_alist,
-    serialize_alist,
     syndrome,
 )
 from scvamp.messages import GaussianMessage, PosteriorSummary, extrinsic
