@@ -65,7 +65,8 @@ def build_parser():
     parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--out", dest="output_path", required=True, help="output CSV path")
     parser.add_argument("--workers", type=int,
-                        help="worker processes for either experiment")
+                        help="worker processes, capped at --max-seeds and the CPU "
+                             "count; each holds one seed in flight")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
     return parser

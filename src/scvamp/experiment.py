@@ -4,15 +4,15 @@ Trials are indexed by (snr, seed).  H and the information bits depend on the
 seed alone and only the noise on the SNR, so every variant at every SNR point
 of one seed uses the same H: it is drawn and decomposed once per seed and
 reused for every SNR point.  Seeds count ``master_seed, master_seed+1, ...``
-per SNR point.  Both experiments run one seed loop, :func:`_iterate_blocks`: it
+per SNR point.  Both experiments run one seed loop, :func:`_iterate_seeds`: it
 passes each ``(snr, variant)`` pair's ``DecodeResult`` to the experiment's
 ``record(seed, pair, result)`` in seed order, and ``record`` says whether the
 pair keeps drawing seeds.  A BER point stops at ``min_errors`` errors or
 ``max_seeds`` seeds; an MSE trace records ``max_seeds`` seeds at one SNR.
-One worker runs one seed at a time, so it decodes only the frames it records;
-a process pool runs fixed blocks of seeds and may decode frames past a pair's
-stopping seed, but those are never recorded, so the output is byte-identical
-at any worker count.
+Each seed runs the pairs still drawing when it is dispatched, and at most one
+seed per worker process is in flight, so a pair decodes at most one frame per
+extra process past its stopping seed; the output is byte-identical at any
+worker count.
 
 CSV schemas (one header line, optional '#' metadata comments above it):
 
@@ -29,8 +29,10 @@ import os
 import signal
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import groupby
+from functools import partial
+from itertools import groupby, islice
 from operator import itemgetter
 
 import numpy as np
@@ -41,7 +43,6 @@ from .denoiser import LdpcCode
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
 
-_BLOCK_SIZE = 16  # seeds per pooled dispatch, independent of worker count
 _Z = 1.96  # two-sided 95% normal quantile of wilson_interval
 
 
@@ -205,44 +206,41 @@ def _pool_task(args):
     return _seed_outcomes(_POOL_STATE["code"], _POOL_STATE["config"], seed, work)
 
 
-def _iterate_blocks(code, config, record):
+def _iterate_seeds(code, config, record):
     """Run the seed loop; ``record(seed, pair, result) -> keeps_drawing`` sees every frame.
 
     This is the only place that knows which ``(snr, variant)`` pairs are still
     drawing seeds.  Seeds ``0 .. max_seeds - 1`` (offset by ``master_seed``
-    for the draws) run in blocks, and every seed of a block runs the pairs
-    active when the block is dispatched.  ``record`` is called once per
-    active pair and seed, strictly in seed order, with ``run_variant``'s
-    result; a pair for which it returns False is never recorded again, even
-    for the rest of its block, and dispatching stops once no pair is active.
-    With one worker a block is one seed, so no frame is decoded that is not
-    recorded.  With ``config.workers > 1`` blocks of ``_BLOCK_SIZE`` seeds
-    run on a spawned pool that lives for this call; a block holds at most
-    ``min(_BLOCK_SIZE, max_seeds)`` seeds, so no more processes than that are
-    started.
+    for the draws) are dispatched in order, each with the pairs active at that
+    moment, and at most ``min(workers, max_seeds, os.cpu_count())`` of them
+    are in flight.  ``record`` is called once per active pair and seed,
+    strictly in seed order, with ``run_variant``'s result; a pair for which it
+    returns False is never recorded again, and dispatching stops once no pair
+    is active.  With a window of one, each seed runs in this process when it
+    is recorded, so no frame is decoded that is not recorded; a larger window
+    runs on a spawned pool of that many processes that lives for this call.
     """
+    size = min(config.workers, config.max_seeds, os.cpu_count() or 1)
     pool = multiprocessing.get_context("spawn").Pool(
-        min(config.workers, _BLOCK_SIZE, config.max_seeds),
-        initializer=_pool_init, initargs=(code, config)
-    ) if config.workers > 1 else None
+        size, initializer=_pool_init, initargs=(code, config)
+    ) if size > 1 else None
     try:
-        active = config.pairs
-        step = _BLOCK_SIZE if pool is not None else 1
-        for start in range(0, config.max_seeds, step):
-            if not active:
+        active, seeds, in_flight = config.pairs, iter(range(config.max_seeds)), deque()
+        while active:
+            for seed in islice(seeds, size - len(in_flight)):
+                task = (config.master_seed + seed, active)
+                # a pool starts the seed now; without one it runs when it is popped
+                in_flight.append((seed, pool.apply_async(_pool_task, (task,)).get if pool
+                                  else partial(_seed_outcomes, code, config, *task)))
+            if not in_flight:
                 break
-            block = range(start, min(start + step, config.max_seeds))
-            tasks = [(config.master_seed + s, active) for s in block]
-            if pool is None:
-                results = [_seed_outcomes(code, config, *task) for task in tasks]
-            else:
-                results = pool.map(_pool_task, tasks)
-            for seed, outcomes in zip(block, results):
-                active = [pair for pair in active if record(seed, pair, outcomes[pair])]
+            seed, pending = in_flight.popleft()
+            outcomes = pending()
+            active = [pair for pair in active if record(seed, pair, outcomes[pair])]
     finally:
         if pool is not None:
-            # every task has returned by now, unless an exception (Ctrl-C) left the loop:
-            # then a worker may have died mid-task, and close() + join() would wait forever
+            # every recorded task has returned by now, but a later one, or a worker that
+            # died mid-task on Ctrl-C, would make close() + join() wait
             pool.terminate()
 
 
@@ -262,7 +260,7 @@ def ber_sweep(config: SweepConfig):
         errors = tally.bit_errors if config.error_unit == "bit" else tally.frame_errors
         return errors < config.min_errors
 
-    _iterate_blocks(code, config, record)
+    _iterate_seeds(code, config, record)
     points = list(tallies.values())
     if config.output_path:
         _write_csv(config, (
@@ -302,7 +300,7 @@ def mse_trace_experiment(config: SweepConfig):
         row[1:1 + mse.shape[0]] = mse
         return True
 
-    _iterate_blocks(code, config, record)
+    _iterate_seeds(code, config, record)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a column no trial reached is nan
         summary = {

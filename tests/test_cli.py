@@ -451,11 +451,11 @@ def test_ber_csv_schema_and_rows(small_code_path, tmp_path):
 
 
 def test_csv_deterministic_across_worker_counts(small_code_path, tmp_path):
-    # every pair stops at seed 0 at 1 and 3 dB and runs all 5 seeds at 5 dB: one worker
-    # stops a pair where a pool runs the rest of its block
+    # every pair stops at seed 0 at 1 and 3 dB and runs all 5 seeds at 5 dB: a pool
+    # still has a later seed of a stopped pair in flight, and never records it
     ber = dict(snr_db_list=(1.0, 3.0, 5.0), variants=(Variant.SCVAMP3, Variant.LLR_TURBO),
                min_errors=3, max_seeds=5)
-    # 18 trials span two of a pool's 16-seed dispatch blocks
+    # 18 trials run many times through a pool's window of in-flight seeds
     mse = dict(snr_db_list=(3.0,), variants=(Variant.SCVAMP3, Variant.NO_ONSAGER),
                outer_iters=8, max_seeds=18, experiment="mse-trace")
     for run, fields in ((ber_sweep, ber), (mse_trace_experiment, mse)):

@@ -3,8 +3,8 @@ stop rule each experiment gives its frames, and the paper's trend in n.
 
 ``golden_sweep.csv`` is the ``--deterministic`` BER CSV of a three-SNR,
 two-variant sweep whose points stop after different frame counts, one of them
-only at the seed cap beyond the first 16-seed dispatch block.  It must be
-reproduced at any worker count, and each of its rows must equal the row of a
+only at the 24-seed cap, past any pool's window of in-flight seeds.  It must
+be reproduced at any worker count, and each of its rows must equal the row of a
 sweep of that SNR point alone.
 
 Regenerate the file (only for an intended change of results) with
@@ -107,18 +107,19 @@ def test_each_experiment_picks_its_stop_rule(monkeypatch):
 
 
 def _pool_in_process(monkeypatch):
-    """Route ``_iterate_blocks``' pool through an in-process stand-in; returns its sizes."""
+    """Route ``_iterate_seeds``' pool through an in-process stand-in; returns its sizes."""
     sizes = []
 
     class InProcessPool:
-        """Stands in for a spawned pool: records its size and maps in this process."""
+        """Stands in for a spawned pool: records its size and runs each task in this process."""
 
         def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
             initializer(*initargs)
 
-        def map(self, func, tasks):
-            return [func(task) for task in tasks]
+        def apply_async(self, func, args):
+            result = func(*args)
+            return SimpleNamespace(get=lambda: result)
 
         def terminate(self):
             pass
@@ -130,7 +131,7 @@ def _pool_in_process(monkeypatch):
 
 
 def _dispatch(monkeypatch, workers):
-    """Run ``_iterate_blocks`` on stub outcomes; pair_a's record says stop at seed 3.
+    """Run ``_iterate_seeds`` on stub outcomes; pair_a's record says stop at seed 3.
 
     Returns the two pairs, the seeds ``record`` saw per pair, and the work
     dispatched per drawn seed.
@@ -153,7 +154,7 @@ def _dispatch(monkeypatch, workers):
         recorded[pair].append(seed)
         return pair != pair_a or seed < 3
 
-    scvamp.experiment._iterate_blocks(None, config, record)
+    scvamp.experiment._iterate_seeds(None, config, record)
     return (pair_a, pair_b), recorded, works
 
 
@@ -167,13 +168,16 @@ def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
     assert all(works[100 + s] == [pair_b] for s in range(4, 40))
 
 
-def test_pooled_dispatcher_runs_whole_blocks(monkeypatch):
-    # a pool keeps a stopped pair in the rest of its 16-seed block but never records it
+def test_pooled_dispatcher_keeps_one_seed_per_process_in_flight(monkeypatch):
+    # two processes hold two seeds: pair_a stops when seed 3 is recorded, by which time
+    # seed 4 is in flight, and it is in no seed dispatched after that
+    monkeypatch.setattr(scvamp.experiment.os, "cpu_count", lambda: 8)
     (pair_a, pair_b), recorded, works = _dispatch(monkeypatch, workers=2)
     assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
     assert sorted(works) == list(range(100, 140))
-    assert all(works[100 + s] == [pair_a, pair_b] for s in range(16))
-    assert all(works[100 + s] == [pair_b] for s in range(16, 40))
+    with_a = [seed for seed, work in works.items() if pair_a in work]
+    assert with_a == list(range(100, max(with_a) + 1)) and max(with_a) <= 104
+    assert all(pair_b in work for work in works.values())
 
 
 def test_serial_sweep_decodes_only_recorded_frames(monkeypatch):
@@ -186,20 +190,25 @@ def test_serial_sweep_decodes_only_recorded_frames(monkeypatch):
 
     monkeypatch.setattr(scvamp.experiment, "run_variant", counted)
     points = ber_sweep(dataclasses.replace(PINNED, snr_db_list=(4.0, 6.0)))
-    assert sorted(p.frames for p in points) == [2, 4, 4, 13]  # stops within one 16-seed block
+    assert sorted(p.frames for p in points) == [2, 4, 4, 13]  # every point stops before the cap
     assert len(calls) == sum(p.frames for p in points)
 
 
-@pytest.mark.parametrize("workers, max_seeds, size", [
-    pytest.param(64, 24, 16, id="64-16"),
-    pytest.param(3, 24, 3, id="3-3"),
-    pytest.param(8, 3, 3, id="8-3-max_seeds3"),  # a block of 3 seeds needs 3 processes
+# the pool is as large as the window of seeds in flight: workers, capped by the
+# seed count and the CPU count, and a window of one runs in this process
+@pytest.mark.parametrize("workers, max_seeds, cpus, sizes", [
+    pytest.param(64, 24, 4, [4], id="64-4"),
+    pytest.param(3, 24, 8, [3], id="3-3"),
+    pytest.param(8, 3, 8, [3], id="8-3-max_seeds3"),
+    pytest.param(2, 1, 8, [], id="2-1-no-pool"),
 ])
-def test_pool_is_no_larger_than_a_dispatch_block(monkeypatch, tmp_path, workers, max_seeds, size):
-    sizes = _pool_in_process(monkeypatch)
+def test_pool_is_no_larger_than_a_dispatch_block(
+        monkeypatch, tmp_path, workers, max_seeds, cpus, sizes):
+    monkeypatch.setattr(scvamp.experiment.os, "cpu_count", lambda: cpus)
+    created = _pool_in_process(monkeypatch)
     config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers, max_seeds=max_seeds)
     csv = _sweep_csv(config, tmp_path / "pooled.csv")
-    assert sizes == [size]
+    assert created == sizes
     assert csv == _sweep_csv(dataclasses.replace(config, workers=1), tmp_path / "serial.csv")
 
 
