@@ -220,23 +220,14 @@ def bp_decode(code: LdpcCode, llr_in, iterations: int) -> np.ndarray:
     # v2c is +inf, so its tanh is 1 and its sign +1
     totals = np.empty(var_slots.shape[1] + 1)
     totals[-1] = np.inf
-    gathered = np.empty(var_slots.shape)
-    work = np.empty(slot_var.shape)
-    sign = np.empty(slot_var.shape)
 
     with np.errstate(divide="ignore"):  # log(0) = -inf marks an exact-zero message
         for _ in range(int(iterations)):
-            np.take(c2v_flat, var_slots, out=gathered)
-            np.add.reduce(gathered, axis=0, initial=0.0, out=totals[:-1])
-            np.add(llr, totals[:n], out=totals[:n])
-            v2c = np.take(totals, slot_var, out=work)
-            v2c -= c2v
-            v2c *= 0.5
-            t = np.tanh(v2c, out=work)
-            np.copysign(1.0, t, out=sign)
-            logmag = np.abs(t, out=work)
-            np.minimum(logmag, _TANH_CLIP, out=logmag)
-            np.log(logmag, out=logmag)  # -inf exactly where t == 0
+            totals[:-1] = np.add.reduce(c2v_flat[var_slots], axis=0, initial=0.0)
+            totals[:n] += llr
+            t = np.tanh(0.5 * (totals[slot_var] - c2v))
+            sign = np.copysign(1.0, t)
+            logmag = np.log(np.minimum(np.abs(t), _TANH_CLIP))  # -inf exactly where t == 0
             logmag.flat[code.pad_slots] = 0.0
             sum_log = np.add.reduce(logmag, axis=0, initial=0.0)
             dead = None
@@ -248,13 +239,8 @@ def bp_decode(code: LdpcCode, llr_in, iterations: int) -> np.ndarray:
                 zeros = np.add.reduce(zero, axis=0)
                 dead = (zeros > 1) | ((zeros == 1) & ~zero)
 
-            sign *= np.multiply.reduce(sign, axis=0)  # the sign over the other edges
-            excl = np.subtract(sum_log, logmag, out=work)
-            np.exp(excl, out=excl)
-            np.minimum(excl, _TANH_CLIP, out=excl)
-            excl *= sign
-            np.arctanh(excl, out=c2v)
-            c2v *= 2.0
+            sign = sign * np.multiply.reduce(sign, axis=0)  # the sign over the other edges
+            c2v[...] = 2.0 * np.arctanh(sign * np.minimum(np.exp(sum_log - logmag), _TANH_CLIP))
             if dead is not None:
                 c2v[dead] = 0.0
 

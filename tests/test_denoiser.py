@@ -312,8 +312,11 @@ def _oracle_llrs(n, seed):
 def test_bp_matches_edge_list_oracle_bit_for_bit(name):
     code = _ORACLE_CODES[name]()
     for label, llr in _oracle_llrs(code.n, seed=9).items():
+        before = llr.tobytes()
         for iterations in (1, 5, 20):
             got = bp_decode(code, llr, iterations)
+            # the runner reads its input LLRs again after BP
+            assert llr.tobytes() == before, f"{label}: bp_decode wrote to its input"
             want = reference_bp_decode(code, llr, iterations)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
                                           err_msg=f"{label}, {iterations} iterations")
