@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -236,6 +238,36 @@ def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
         assert got.tobytes() == np.concatenate(pieces).tobytes(), name
     assert whole[3].any() == (m > 3)
     assert np.array_equal(whole[0][whole[3]], r[whole[3]])
+
+
+# sha256 of the four outputs' bytes, recorded before the kernel took its
+# (nodes, components) layout; like golden_outcomes.json they depend on the
+# host's SIMD kernels for exp, tanh and the sums, so another CPU or numpy
+# build may record other digests
+_QUADRATURE_DIGESTS = {
+    (600, 1e-7): "0ffeac3d6c86fd362e40fe05030873fe2efa900f422cb4c43c82dfe971c18585",
+    (600, 0.05): "4b29ae1c04a0f8612189149b6a2fe7d297a496563489889b056a87da9f642744",
+    (600, 0.6): "da7bee9e4bd4e3cf460c32e2f04d2975287aa6fb411963a7d135ce54464a4c90",
+    (600, 4.0): "6e768386b5672502181f01c5a3f8b336ab105b12d8f4d3bb0d9d0dac410eb53f",
+    (2304, 1e-7): "c75559a5af193893e5b10df710d8f71eda91a23a59682bd1aecc2639295d4b01",
+    (2304, 0.05): "911028ecb6e2aaaddfa13cb6d98a41b89b257b57c713d3f3a61ffe74bbaf7bf6",
+    (2304, 0.6): "43c505a0639c5085f9058546a9fa4ef8dd06b5971eafa1e07c273156d28af88e",
+    (2304, 4.0): "c415dc1d5f804662812f7ca49501786b30e47c602b51bd0737606972e7a4534a",
+}
+
+
+@pytest.mark.parametrize("m, v", sorted(_QUADRATURE_DIGESTS))
+def test_quadrature_bits_match_parent(m, v):
+    # multi-block lengths, which the n128 goldens never reach
+    rng = np.random.default_rng(m)
+    r = rng.normal(size=m)
+    y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(0.1) * rng.normal(size=m)
+    y[3::7] = 1e200  # the normalizer underflows: the fallback path
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _quadrature_moments(r, v, y, ChannelSpec("tanh", 0.1))
+    assert out[3].any()
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
+    assert digest == _QUADRATURE_DIGESTS[m, v]
 
 
 _ENVELOPE_V = (1e-6, 1e-4, 5e-3, 0.05, 0.2, 0.6, 1.0, 2.0, 4.0)
