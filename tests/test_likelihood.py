@@ -220,7 +220,8 @@ def test_underflow_fallback_returns_prior_moments():
     assert m2 == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("m", [1, 511, 512, 513, 2304])  # around the 512-row blocks
+# lengths and cuts around the 256-component blocks
+@pytest.mark.parametrize("m", [1, 255, 256, 257, 511, 512, 513, 2304])
 @pytest.mark.parametrize("v", [1e-7, 0.05, 0.6, 4.0])
 def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
     # the oracle is the same kernel called on slices: where the blocks fall
@@ -230,7 +231,7 @@ def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
     spec = ChannelSpec("tanh", 0.1)
     y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(0.1) * rng.normal(size=m)
     y[3::7] = 1e200  # the normalizer underflows: the fallback path
-    cuts = [0, *sorted({c for c in (137, 511, 512, 513, 1031) if c < m}), m]
+    cuts = [0, *sorted({c for c in (137, 255, 256, 257, 511, 512, 513, 1031) if c < m}), m]
     with np.errstate(over="ignore", invalid="ignore"):
         whole = _quadrature_moments(r, v, y, spec)
         parts = [_quadrature_moments(r[a:b], v, y[a:b], spec) for a, b in zip(cuts, cuts[1:])]
@@ -240,10 +241,10 @@ def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
     assert np.array_equal(whole[0][whole[3]], r[whole[3]])
 
 
-# sha256 of the four outputs' bytes, recorded before the kernel took its
-# (nodes, components) layout; like golden_outcomes.json they depend on the
-# host's SIMD kernels for exp, tanh and the sums, so another CPU or numpy
-# build may record other digests
+# sha256 of the four outputs' bytes, recorded with the in-place (components,
+# nodes) kernel that the plain (nodes, components) one replaced; like
+# golden_outcomes.json they depend on the host's SIMD kernels for exp, tanh and
+# the sums, so another CPU or numpy build may record other digests
 _QUADRATURE_DIGESTS = {
     (600, 1e-7): "0ffeac3d6c86fd362e40fe05030873fe2efa900f422cb4c43c82dfe971c18585",
     (600, 0.05): "4b29ae1c04a0f8612189149b6a2fe7d297a496563489889b056a87da9f642744",
