@@ -220,17 +220,23 @@ def test_underflow_fallback_returns_prior_moments():
     assert m2 == pytest.approx(1.0)
 
 
+def _tanh_case_with_fallbacks(m, v):
+    """Seeded tanh inputs at sigma2 = 0.1 in which every 7th normalizer underflows."""
+    rng = np.random.default_rng(m)
+    r = rng.normal(size=m)
+    y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(0.1) * rng.normal(size=m)
+    y[3::7] = 1e200  # the fallback path
+    return r, y
+
+
 # lengths and cuts around the 256-component blocks
 @pytest.mark.parametrize("m", [1, 255, 256, 257, 511, 512, 513, 2304])
 @pytest.mark.parametrize("v", [1e-7, 0.05, 0.6, 4.0])
 def test_blocked_quadrature_matches_oracle_bit_for_bit(m, v):
     # the oracle is the same kernel called on slices: where the blocks fall
     # must not move a bit, fallback rows included
-    rng = np.random.default_rng(m)
-    r = rng.normal(size=m)
+    r, y = _tanh_case_with_fallbacks(m, v)
     spec = ChannelSpec("tanh", 0.1)
-    y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(0.1) * rng.normal(size=m)
-    y[3::7] = 1e200  # the normalizer underflows: the fallback path
     cuts = [0, *sorted({c for c in (137, 255, 256, 257, 511, 512, 513, 1031) if c < m}), m]
     with np.errstate(over="ignore", invalid="ignore"):
         whole = _quadrature_moments(r, v, y, spec)
@@ -260,10 +266,7 @@ _QUADRATURE_DIGESTS = {
 @pytest.mark.parametrize("m, v", sorted(_QUADRATURE_DIGESTS))
 def test_quadrature_bits_match_parent(m, v):
     # multi-block lengths, which the n128 goldens never reach
-    rng = np.random.default_rng(m)
-    r = rng.normal(size=m)
-    y = np.tanh(r + np.sqrt(v) * rng.normal(size=m)) + np.sqrt(0.1) * rng.normal(size=m)
-    y[3::7] = 1e200  # the normalizer underflows: the fallback path
+    r, y = _tanh_case_with_fallbacks(m, v)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _quadrature_moments(r, v, y, ChannelSpec("tanh", 0.1))
     assert out[3].any()
