@@ -175,10 +175,19 @@ def test_redundant_rows_flagged_and_dropped():
 
 
 def test_from_checks_validation():
-    with pytest.raises(ValueError):
+    outside = r"check 0 references a variable outside \[0, 3\)"
+    with pytest.raises(ValueError, match=outside):
         LdpcCode.from_checks(3, [[0, 3]])
-    with pytest.raises(ValueError):
-        LdpcCode.from_checks(3, [[1, 1]])
+    with pytest.raises(ValueError, match=outside):
+        LdpcCode.from_checks(3, [[-1, 1]])
+    with pytest.raises(ValueError, match=outside):  # the range is checked first
+        LdpcCode.from_checks(3, [[5, 5]])
+    with pytest.raises(ValueError, match="check 1 lists a variable twice"):
+        LdpcCode.from_checks(3, [[0], [1, 1]])
+    code = LdpcCode.from_checks(3, [[2, 0, 1]])
+    (check,) = code.checks
+    assert check.dtype == np.int64
+    assert check.tolist() == [0, 1, 2]
 
 
 _ELIMINATION_CODES = {
