@@ -104,7 +104,7 @@ def main(argv=None) -> int:
                 print(f"{variant.value:<18s} final mean MSE {mean[-1]:.3e}")
         print(f"wrote {config.output_path}")
         return 0
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

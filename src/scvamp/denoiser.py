@@ -73,11 +73,12 @@ class LdpcCode:
         norm_checks = []
         for idx, vars_ in enumerate(checks):
             arr = np.asarray(vars_, dtype=np.int64)
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
+            check = np.unique(arr)  # sorted
+            if check.size and (check[0] < 0 or check[-1] >= n):
                 raise ValueError(f"check {idx} references a variable outside [0, {n})")
-            if arr.size != np.unique(arr).size:
+            if check.size != arr.size:
                 raise ValueError(f"check {idx} lists a variable twice")
-            norm_checks.append(np.sort(arr))
+            norm_checks.append(check)
         # laid out before the elimination's large temporaries, so that these
         # long-lived arrays do not pin the top of the heap (1.5 MB of peak RSS)
         layout = _slot_layout(n, norm_checks)
@@ -128,50 +129,46 @@ def _rank_in_group(groups, num_groups):
 
 
 def _gf2_systematize(n, checks):
-    """Drive an identity into the rightmost columns of H by row reduction.
+    """Drive an identity into the rightmost logical columns of H by row reduction.
 
     Works on H's rows packed eight columns to a byte (column ``c`` is bit
-    ``c & 7`` of byte ``c >> 3``), so a row XOR touches n / 8 bytes.  Each
-    target column, from the right, takes the nearest column at or left of it
-    that has a one in a free (not yet pivot) row, swapped into place and
-    recorded in the returned permutation (codeword order [info | parity]); the
-    first such row becomes its pivot and is cleared from every other row.
-    Returns the parity map ``A`` with ``parity = A @ info mod 2`` (rows ordered
-    by parity position), the permutation, and the indices of redundant
-    (dependent) rows.
+    ``c & 7`` of byte ``c >> 3``), so a row XOR touches n / 8 bytes.  Columns
+    are never moved: the returned permutation ``perm`` maps logical column
+    ``j`` (codeword order [info | parity]) to physical column ``perm[j]``.
+    Each target column, from the right, takes the nearest logical column at
+    or left of it whose physical column has a one in a free (not yet pivot)
+    row, swapping the two entries of ``perm``; the first such row becomes its
+    pivot and is cleared from every other row.  Returns the parity map ``A``
+    with ``parity = A @ info mod 2`` (rows ordered by parity position), the
+    permutation, and the indices of redundant (dependent) rows.
     """
     m = len(checks)
     hp = np.zeros((m, (n + 7) // 8), dtype=np.uint8)
     cols = np.concatenate([np.empty(0, np.int64), *checks])
     edge_rows = np.repeat(np.arange(m), [c.size for c in checks])
     np.bitwise_or.at(hp, (edge_rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
-
-    def column(c):
-        return (hp[:, c >> 3] >> (c & 7)) & 1
-
     perm = np.arange(n)
     free = np.ones(m, dtype=bool)
     pivots = []
     for target in range(n - 1, n - 1 - min(m, n), -1):
-        for c in range(target, -1, -1):
-            ones = column(c)
-            rows = np.flatnonzero(ones.astype(bool) & free)
+        for j in range(target, -1, -1):
+            c = int(perm[j])
+            ones = ((hp[:, c >> 3] >> (c & 7)) & 1).astype(bool)
+            rows = np.flatnonzero(ones & free)
             if rows.size:
                 break
         else:
             break  # the free rows are all zero, hence redundant
-        if c != target:
-            flip = ones ^ column(target)
-            hp[:, c >> 3] ^= flip << (c & 7)
-            hp[:, target >> 3] ^= flip << (target & 7)
-            perm[[c, target]] = perm[[target, c]]
+        perm[j], perm[target] = perm[target], perm[j]
         r = rows[0]
         free[r] = False
-        others = ones.astype(bool)  # column target, swapped in
-        others[r] = False
-        hp[others] ^= hp[r]
+        ones[r] = False
+        hp[ones] ^= hp[r]
         pivots.append(r)
-    parity = np.unpackbits(hp[pivots[::-1]], axis=1, count=n - len(pivots), bitorder="little")
+    info = perm[:n - len(pivots)]
+    parity = hp[pivots[::-1]][:, info >> 3]  # shifted and masked in place, for peak RSS
+    parity >>= (info & 7).astype(np.uint8)
+    parity &= 1
     return parity, perm, tuple(int(i) for i in np.flatnonzero(free))
 
 

@@ -123,8 +123,10 @@ def gf2_rank(matrix):
 def dense_gf2_systematize(n, checks):
     """``denoiser._gf2_systematize`` on a dense 0/1 copy of H, one byte per entry.
 
-    The same right-to-left target loop, column search, swaps and pivot order,
-    so the two agree exactly on ``(parity, perm, redundant)``.
+    The same right-to-left target loop, column search and pivot order.  This
+    oracle swaps H's physical columns along with ``perm``, while the kernel
+    leaves its columns in place and permutes only the indices in ``perm``; the
+    two agree exactly on ``(parity, perm, redundant)``.
     """
     m = len(checks)
     h = np.zeros((m, n), dtype=np.uint8)

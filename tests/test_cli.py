@@ -582,6 +582,24 @@ def test_main_runtime_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_main_allocation_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a huge --max-seeds makes mse-trace's (max_seeds, outer_iters + 1) tables
+    # too large to allocate; the failure is faked, because under overcommit a
+    # real request of that size can succeed and then page-fault into the OOM killer
+    def fail(config):
+        raise MemoryError("Unable to allocate 153. TiB for an array")
+
+    monkeypatch.setattr("scvamp.cli.mse_trace_experiment", fail)
+    out = tmp_path / "m.csv"
+    rc = main(["--experiment", "mse-trace", "--snr-db", "6", "--code", "builtin:r12-n128",
+               "--h", "iid:128x128", "--max-seeds", "1000000000000", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_builtin_code_reference(tmp_path):
     out = tmp_path / "b.csv"
     cfg = SweepConfig(
