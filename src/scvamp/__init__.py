@@ -7,7 +7,8 @@ constraint, all exchanging Onsager-corrected mean-variance messages.
 
 The package re-exports nothing; every name lives in its module: the stages
 in ``scvamp.coupling``, ``scvamp.likelihood`` and ``scvamp.denoiser``, code
-files and the bundled codes in ``scvamp.codes``, the outer loop in
+files and the bundled codes in ``scvamp.codes``, the trial model (H modes,
+sub-streams, ``y = f(H x) + σ z``) in ``scvamp.channel``, the outer loop in
 ``scvamp.runner`` and the sweeps in ``scvamp.experiment``.
 ``python -m scvamp`` runs the command line in ``scvamp.cli``.
 """

@@ -1,9 +1,14 @@
-"""Forward-model simulation: channel matrices, BPSK, nonlinear transmission.
+"""The trial model: the ``--h`` modes, the seed's sub-streams and ``y = f(H x) + σ z``.
 
-One 64-bit master seed fully determines a trial.  Named sub-streams ("H",
-"bits", "noise") are derived from it with independent spawn keys, so ablation
-variants can share exactly the same channel realization while the algorithm
-under test changes, and trials with disjoint seeds are independent.
+``--h iid:MxN`` is one dense M x N Gaussian block and ``blockdiag:B`` is
+``H = I_R ⊗ A``, one B x B Gaussian block A repeated R = n / B times
+(:func:`fit_h_mode`).  One 64-bit seed fully determines a trial through three
+named sub-streams with independent spawn keys: "H" draws the block, "bits"
+the information bits and "noise" one standard-normal vector z of length M.
+The frame is ``y = f(H bpsk(codeword)) + σ z`` with σ² the channel spec's
+noise variance.  Only σ depends on the SNR, so a seed is the same H, codeword
+and z at every SNR point; variants share each realization exactly, and
+drawing from one sub-stream never shifts another.
 """
 
 from __future__ import annotations
@@ -50,14 +55,43 @@ class Realization:
     y: np.ndarray
 
 
-def gen_h(rows, cols, repeats, rng) -> MixingMatrix:
-    """``H = I_R ⊗ A`` with one rows x cols Gaussian block A repeated R = repeats times.
+def fit_h_mode(h_mode, n):
+    """``(rows, cols, repeats)`` of the mixing matrix ``h_mode`` gives a length-n code.
 
-    The block entries are i.i.d. with variance 1/rows, so the per-symbol
-    sub-channel does not depend on how many times the block is repeated; a
-    dense i.i.d. matrix is the single block ``repeats=1``.
+    ``iid:MxN`` is one M x N block and needs N = n; ``blockdiag:B`` repeats a
+    B x B block n / B times and needs B to divide n.  Sizes are plain
+    decimals >= 1.  Anything else is a ValueError.
     """
-    return precompute(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(int(rows), int(cols))), repeats)
+    kind, _, rest = h_mode.partition(":")
+    if kind == "iid":
+        m_txt, _, n_txt = rest.partition("x")
+        fields, form = (m_txt, n_txt), "iid:MxN"
+    elif kind == "blockdiag":
+        fields, form = (rest,), "blockdiag:B"
+    else:
+        raise ValueError(f"unknown H mode {h_mode!r}; use iid:MxN or blockdiag:B")
+    # int() also takes " 3_2\n" and "032"; a size is written as int() prints it back
+    if not all(f.isascii() and f.isdigit() and str(int(f)) == f for f in fields):
+        raise ValueError(f"malformed {kind} mode {h_mode!r}, expected {form}")
+    rows, cols = int(fields[0]), int(fields[-1])
+    if min(rows, cols) < 1:
+        raise ValueError(f"H mode {h_mode!r} needs sizes of at least 1")
+    if n % cols or (kind == "iid" and cols != n):
+        raise ValueError(f"H mode {h_mode!r} does not fit the code length {n}")
+    return rows, cols, n // cols
+
+
+def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed) -> TrialScenario:
+    """Scenario for one (snr, seed) trial, with H drawn from the seed's "H" sub-stream.
+
+    The block has the shape and repeat count :func:`fit_h_mode` gives
+    ``h_mode`` for the code length.  Its entries are i.i.d. with variance
+    1/rows, so the per-symbol sub-channel does not depend on the repeats.
+    """
+    rows, cols, repeats = fit_h_mode(h_mode, code.n)
+    block = substream(seed, "H").normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
+    spec = ChannelSpec.from_snr_db(snr_db, nonlinearity)
+    return TrialScenario(code, precompute(block, repeats), spec, int(seed))
 
 
 def bpsk(bits) -> np.ndarray:
@@ -65,20 +99,10 @@ def bpsk(bits) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def transmit(x, scenario: TrialScenario) -> np.ndarray:
-    """Push symbols through the channel and return the observation ``y = f(H x) + z``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (scenario.h.n,):
-        raise ValueError(f"symbol vector has shape {x.shape}, expected ({scenario.h.n},)")
-    noise = substream(scenario.seed, "noise").normal(
-        0.0, np.sqrt(scenario.spec.noise_variance), size=scenario.h.m
-    )
-    return scenario.spec.f(scenario.h.apply(x)) + noise
-
-
 def realize(scenario: TrialScenario) -> Realization:
-    """Draw the full transmit side of a trial from the scenario seed."""
+    """Draw the seed's codeword and observation ``y = f(H bpsk(codeword)) + σ z``."""
     info = substream(scenario.seed, "bits").integers(0, 2, size=scenario.code.k, dtype=np.uint8)
     codeword = encode(scenario.code, info)
-    return Realization(codeword, transmit(bpsk(codeword), scenario))
-
+    z = substream(scenario.seed, "noise").standard_normal(scenario.h.m)
+    sigma = np.sqrt(scenario.spec.noise_variance)
+    return Realization(codeword, scenario.spec.f(scenario.h.apply(bpsk(codeword))) + sigma * z)

@@ -46,7 +46,8 @@ def build_parser():
     )
     parser.add_argument("--experiment", help="ber or mse-trace")
     parser.add_argument("--snr-db", dest="snr_db_list", required=True,
-                        help="comma list or inclusive range a:b:step, in dB")
+                        help="comma list or inclusive range a:b:step, in dB; one "
+                             "that starts below 0 takes the = form: --snr-db=-3:0:1")
     parser.add_argument("--variant", dest="variants",
                         help="comma list of: " + ",".join(v.value for v in Variant))
     parser.add_argument("--code", required=True,

@@ -1,9 +1,9 @@
 """Monte Carlo BER sweeps and MSE-convergence traces with CSV output.
 
-Trials are indexed by (snr, seed).  H and the information bits depend on the
-seed alone and only the noise on the SNR, so every variant at every SNR point
-of one seed uses the same H: it is drawn and decomposed once per seed and
-reused for every SNR point.  Seeds count ``master_seed, master_seed+1, ...``
+This module schedules trials, and ``scvamp.channel`` draws each one.  A trial
+is indexed by (snr, seed), and its H depends on the seed alone, so every
+variant at every SNR point of one seed uses the same H: it is drawn and
+decomposed once per seed.  Seeds count ``master_seed, master_seed+1, ...``
 per SNR point.  Both experiments run one seed loop, :func:`_iterate_seeds`: it
 passes each ``(snr, variant)`` pair's ``DecodeResult`` to the experiment's
 ``record(seed, pair, result)`` in seed order, and ``record`` says whether the
@@ -37,9 +37,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channel import TrialScenario, gen_h, realize, substream
+from .channel import build_scenario, fit_h_mode, realize
 from .codes import code_label, code_length, load_code
-from .denoiser import LdpcCode
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
 
@@ -129,41 +128,6 @@ class BerPoint:
     @property
     def fer(self):
         return self.frame_errors / self.frames if self.frames else 0.0
-
-
-def fit_h_mode(h_mode, n):
-    """``(rows, cols, repeats)`` of the mixing matrix ``h_mode`` gives a length-n code.
-
-    ``iid:MxN`` is one M x N block and needs N = n; ``blockdiag:B`` repeats a
-    B x B block n / B times and needs B to divide n.  Sizes are plain
-    decimals >= 1.  Anything else is a ValueError.
-    """
-    kind, _, rest = h_mode.partition(":")
-    if kind == "iid":
-        m_txt, _, n_txt = rest.partition("x")
-        fields, form = (m_txt, n_txt), "iid:MxN"
-    elif kind == "blockdiag":
-        fields, form = (rest,), "blockdiag:B"
-    else:
-        raise ValueError(f"unknown H mode {h_mode!r}; use iid:MxN or blockdiag:B")
-    # int() also takes " 3_2\n" and "032"; a size is written as int() prints it back
-    if not all(f.isascii() and f.isdigit() and str(int(f)) == f for f in fields):
-        raise ValueError(f"malformed {kind} mode {h_mode!r}, expected {form}")
-    rows, cols = int(fields[0]), int(fields[-1])
-    if min(rows, cols) < 1:
-        raise ValueError(f"H mode {h_mode!r} needs sizes of at least 1")
-    if n % cols or (kind == "iid" and cols != n):
-        raise ValueError(f"H mode {h_mode!r} does not fit the code length {n}")
-    return rows, cols, n // cols
-
-
-def build_scenario(code: LdpcCode, h_mode, snr_db, nonlinearity, seed):
-    """Scenario for one (snr, seed) trial; H is redrawn per seed from its sub-stream.
-
-    H has the shape :func:`fit_h_mode` gives ``h_mode`` for the code length.
-    """
-    mix = gen_h(*fit_h_mode(h_mode, code.n), substream(seed, "H"))
-    return TrialScenario(code, mix, ChannelSpec.from_snr_db(snr_db, nonlinearity), int(seed))
 
 
 # -- worker plumbing ---------------------------------------------------------

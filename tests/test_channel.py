@@ -1,21 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scvamp.channel import (
-    TrialScenario,
-    bpsk,
-    gen_h,
-    realize,
-    substream,
-    transmit,
-)
+from scvamp.channel import TrialScenario, bpsk, build_scenario, realize, substream
+from scvamp.coupling import precompute
 from scvamp.denoiser import LdpcCode
-from scvamp.experiment import build_scenario
 from scvamp.likelihood import ChannelSpec
 
 
 def _uncoded(n):
     return LdpcCode.from_checks(n, [])
+
+
+def _h(h_mode, n, seed):
+    """The mixing matrix ``build_scenario`` draws for ``h_mode`` on a length-n code."""
+    return build_scenario(_uncoded(n), h_mode, 6.0, "id", seed).h
+
+
+def _scenario(h_mode, n, spec, seed):
+    return replace(build_scenario(_uncoded(n), h_mode, 6.0, "id", seed), spec=spec)
 
 
 def test_substream_deterministic_and_named():
@@ -36,7 +40,7 @@ def test_substreams_independent_of_draw_order():
 
 
 def test_gen_h_iid_statistics():
-    mix = gen_h(256, 256, 1, substream(0, "H"))
+    mix = _h("iid:256x256", 256, 0)
     entries = mix.block
     assert abs(entries.mean()) < 4.0 / np.sqrt(256 * 256 * 256)
     assert entries.var() == pytest.approx(1.0 / 256, rel=0.05)
@@ -44,14 +48,14 @@ def test_gen_h_iid_statistics():
 
 
 def test_gen_h_iid_seed_determinism():
-    a = gen_h(8, 8, 1, substream(5, "H"))
-    b = gen_h(8, 8, 1, substream(5, "H"))
-    np.testing.assert_array_equal(a.block, b.block)
+    a = _h("iid:8x8", 8, 5)
+    np.testing.assert_array_equal(a.block, _h("iid:8x8", 8, 5).block)
+    # the block is the H sub-stream's first draw, at variance 1/rows
+    np.testing.assert_array_equal(a.block, substream(5, "H").normal(0.0, 1.0 / np.sqrt(8), (8, 8)))
 
 
 def test_blockdiag_single_repeat_equals_iid():
-    a = build_scenario(_uncoded(6), "blockdiag:6", 6.0, "id", 9).h
-    b = build_scenario(_uncoded(6), "iid:6x6", 6.0, "id", 9).h
+    a, b = _h("blockdiag:6", 6, 9), _h("iid:6x6", 6, 9)
     assert a.repeats == b.repeats == 1
     np.testing.assert_array_equal(a.block, b.block)
 
@@ -59,8 +63,9 @@ def test_blockdiag_single_repeat_equals_iid():
 def test_blockdiag_structure():
     # blockdiag:32 at n128 and at n2304 (the benchmark's R = 72), and a dense M < N block
     rng = np.random.default_rng(1)
-    for rows, cols, repeats in ((32, 32, 4), (32, 32, 72), (96, 128, 1)):
-        mix = gen_h(rows, cols, repeats, substream(1, "H"))
+    for h_mode, rows, cols, repeats in (("blockdiag:32", 32, 32, 4), ("blockdiag:32", 32, 32, 72),
+                                        ("iid:96x128", 96, 128, 1)):
+        mix = _h(h_mode, repeats * cols, 1)
         assert mix.block.shape == (rows, cols)
         assert mix.repeats == repeats and (mix.m, mix.n) == (repeats * rows, repeats * cols)
         assert mix.block.var() == pytest.approx(1.0 / rows, rel=0.2)
@@ -73,7 +78,7 @@ def test_blockdiag_structure():
 
 
 def test_blockdiag_eigenvalues_match_dense_oracle():
-    mix = gen_h(4, 4, 3, substream(2, "H"))
+    mix = _h("blockdiag:4", 12, 2)
     full = np.kron(np.eye(3), mix.block)
     dense = np.linalg.eigvalsh(full.T @ full)
     np.testing.assert_allclose(np.sort(mix.eigenvalues), np.sort(np.maximum(dense, 0)),
@@ -91,27 +96,25 @@ def test_bpsk_mapping():
 
 
 def test_transmit_noiseless_identity():
-    code = _uncoded(6)
-    mix = gen_h(6, 6, 1, substream(4, "H"))
-    scenario = TrialScenario(code, mix, ChannelSpec("id", 1e-300), seed=4)
-    x = bpsk(np.array([0, 1, 1, 0, 1, 0]))
-    np.testing.assert_allclose(transmit(x, scenario), mix.block @ x, atol=1e-100)
+    scenario = _scenario("iid:6x6", 6, ChannelSpec("id", 1e-300), 4)
+    truth = realize(scenario)
+    x = bpsk(truth.codeword)
+    np.testing.assert_allclose(truth.y, scenario.h.block @ x, atol=1e-100)
 
 
 def test_transmit_tanh_bounded():
-    code = _uncoded(8)
-    mix = gen_h(8, 8, 1, substream(5, "H"))
-    scenario = TrialScenario(code, mix, ChannelSpec("tanh", 0.3), seed=5)
-    y = transmit(bpsk(np.zeros(8)), scenario)
+    scenario = _scenario("iid:8x8", 8, ChannelSpec("tanh", 0.3), 5)
+    truth = realize(scenario)
+    # σ z is normal(0, σ) on the noise sub-stream, bit for bit
     noise = substream(5, "noise").normal(0.0, np.sqrt(0.3), 8)
-    np.testing.assert_array_equal(y, np.tanh(mix.block @ np.ones(8)) + noise)
-    assert np.all(np.abs(y - noise) <= 1.0)
+    np.testing.assert_array_equal(
+        truth.y, np.tanh(scenario.h.block @ bpsk(truth.codeword)) + noise
+    )
+    assert np.all(np.abs(truth.y - noise) <= 1.0)
 
 
 def test_realize_reproducible():
-    code = _uncoded(10)
-    mix = gen_h(10, 10, 1, substream(6, "H"))
-    scenario = TrialScenario(code, mix, ChannelSpec("tanh", 0.2), seed=6)
+    scenario = _scenario("iid:10x10", 10, ChannelSpec("tanh", 0.2), 6)
     a = realize(scenario)
     b = realize(scenario)
     for field in ("codeword", "y"):
@@ -122,15 +125,13 @@ def test_noise_variance_estimate():
     n = 100_000
     code = _uncoded(2)
     h = np.zeros((n, 2))
-    from scvamp.coupling import precompute
-
     scenario = TrialScenario(code, precompute(h), ChannelSpec("id", 0.7), seed=8)
-    y = transmit(bpsk(np.zeros(2)), scenario)  # H = 0, so y is the noise alone
+    y = realize(scenario).y  # H = 0, so y is the noise alone
     assert y.var() == pytest.approx(0.7, rel=0.02)
 
 
 def test_scenario_dimension_validation():
     code = _uncoded(5)
-    mix = gen_h(4, 4, 1, substream(0, "H"))
+    mix = _h("iid:4x4", 4, 0)
     with pytest.raises(ValueError):
         TrialScenario(code, mix, ChannelSpec("id", 1.0), seed=0)

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scvamp.channel import fit_h_mode
 from scvamp.cli import build_parser, main, parse_cli
 from scvamp.codes import builtin_code_ids, load_code, make_regular_code, serialize_alist
 from scvamp.experiment import (
     SweepConfig,
     _atomic_write,
     ber_sweep,
-    fit_h_mode,
     mse_trace_experiment,
     wilson_interval,
 )
@@ -45,6 +45,10 @@ def test_parse_snr_range(small_code_path, tmp_path):
                      "--h", "iid:48x48", "--out", str(tmp_path / "o.csv")])
     assert len(cfg.snr_db_list) == 9
     assert cfg.snr_db_list[0] == 4.0 and cfg.snr_db_list[-1] == 8.0
+    # after a space, argparse reads "-3:0:1" as a flag, so a range below 0 takes the "=" form
+    cfg = parse_cli(["--snr-db=-3:0:1", "--code", small_code_path,
+                     "--h", "iid:48x48", "--out", str(tmp_path / "o.csv")])
+    assert cfg.snr_db_list == (-3.0, -2.0, -1.0, 0.0)
 
 
 # (b - a) / step rounds up past b at 0.35, and to even at 0.4: neither adds a point beyond b
@@ -184,11 +188,14 @@ def test_bad_variant_is_usage_error(small_code_path, tmp_path, capsys):
                                    # a range finer than the labels, rejected before
                                    # its points are built
                                    ["--snr-db", "0:1:1e-300"], ["--snr-db", "3:9:1e-12"],
-                                   ["--snr-db", "-9:-3:1e-12"], ["--snr-db", "0:1:1e-320"]])
-def test_repeated_point_is_usage_error(small_code_path, tmp_path, flags):
+                                   # the "=" form, or argparse takes the range for a flag
+                                   ["--snr-db=-9:-3:1e-12"], ["--snr-db", "0:1:1e-320"]])
+def test_repeated_point_is_usage_error(small_code_path, tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as err:
         main(_base_args(small_code_path, tmp_path / "o.csv") + flags)
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert ("must be finite" if "inf" in flags[-1] else "must not repeat") in stderr
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -279,6 +286,7 @@ def test_sweep_config_validation(small_code_path):
     # no variant at all would run no frame and write a header-only CSV
     ["--variant", ""],
     ["--variant", ","],
+    ["--snr-db", "3:9"],  # a range with no step
 ])
 def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:

@@ -63,6 +63,8 @@ def test_precompute_eigenvalues_clamped_nonnegative():
 def test_precompute_rejects_non_finite():
     with pytest.raises(ValueError):
         precompute(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError, match="must be a 2-d matrix"):
+        precompute(np.zeros(3))
 
 
 def test_precompute_rejects_zero_repeats():

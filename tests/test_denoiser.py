@@ -334,6 +334,8 @@ def test_bp_matches_edge_list_oracle_bit_for_bit(name):
 def test_bp_requires_iterations():
     with pytest.raises(ValueError):
         bp_decode(LdpcCode.from_checks(2, []), np.zeros(2), 0)
+    with pytest.raises(ValueError, match="LLR length"):
+        bp_decode(LdpcCode.from_checks(2, []), np.zeros(3), 1)
 
 
 def test_codes_with_empty_edge_lists():

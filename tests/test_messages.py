@@ -47,6 +47,8 @@ def test_message_validation():
         GaussianMessage([np.nan], 1.0)
     with pytest.raises(DivergenceError):
         GaussianMessage([0.0], np.inf)
+    with pytest.raises(ValueError, match="must be a vector"):
+        GaussianMessage(np.zeros((2, 2)), 1.0)
 
 
 def test_posterior_validation():
@@ -54,6 +56,8 @@ def test_posterior_validation():
         PosteriorSummary([0.0], -1e-3, 0.5)
     with pytest.raises(DivergenceError):
         PosteriorSummary([np.inf], 1.0, 0.5)
+    with pytest.raises(DivergenceError, match="posterior variance"):
+        PosteriorSummary(np.zeros(2), np.nan, 0.5)
     # zero posterior variance is legal (saturated denoiser)
     PosteriorSummary([1.0], 0.0, 1e-6)
 
