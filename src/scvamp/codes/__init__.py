@@ -7,6 +7,10 @@ reference or an unfitting ``--h`` before any frame; only a malformed body
 waits for :func:`load_code`.  Both split lines and read the header ``n m``
 through the same two helpers, so they accept the same headers.
 
+A code text is parsed and eliminated once per process, and every load of
+it shares the one immutable :class:`LdpcCode`.  The cache is keyed on the
+text, not the path, so a rewritten file is parsed again.
+
 The builtins are rate-1/2 regular (3,6) codes, one per length in
 :data:`BUILTIN_SEEDS`, that ``make_regular_code(n, seed)`` rebuilds exactly
 (``tests/test_codes.py`` rebuilds all five).  It places edges greedily, in
@@ -16,6 +20,7 @@ lowest-degree check that closes no 4-cycle; a seeded generator breaks ties.
 
 from __future__ import annotations
 
+import functools
 import os
 from importlib import resources
 from pathlib import Path
@@ -58,7 +63,10 @@ def code_length(ref) -> int:
 
 
 def load_code(ref):
-    """``(code, label)`` of a code reference; a malformed body raises AlistParseError."""
+    """``(code, label)`` of a code reference; a malformed body raises AlistParseError.
+
+    The file is read on every call, but its code is built once per process and shared.
+    """
     path, label = _resolve(ref)
     return parse_alist(path.read_text(encoding="ascii")), label
 
@@ -95,6 +103,7 @@ def _alist_header(lineno, header):
     return header
 
 
+@functools.lru_cache(maxsize=8)  # room for the five builtins and a few code files
 def parse_alist(text) -> LdpcCode:
     """Parse the standard alist description of a sparse parity-check matrix.
 
@@ -102,6 +111,10 @@ def parse_alist(text) -> LdpcCode:
     one adjacency line per column and per row (1-indexed, optionally padded
     with zeros up to the max degree).  Zeros anywhere among the first
     ``degree`` entries of a line are an error, as are out-of-range indices.
+
+    Each distinct text is parsed and eliminated once per process, and every
+    call with an equal text returns the same immutable code.  A malformed
+    text raises on every call: an exception is never cached.
     """
     rows = list(_alist_rows(text.splitlines()))
     if len(rows) < 4:

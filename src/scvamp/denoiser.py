@@ -55,11 +55,13 @@ class LdpcCode:
     flagged in ``redundant_checks`` and excluded from the encoder, with
     ``k = n - rank``.  Every edge is in ``checks`` and again in the slot layout
     ``slot_var``/``var_slots``/``pad_slots`` that BP reads (see ``_slot_layout``).
+    A code is immutable, so one object can be shared: ``checks`` is a tuple,
+    and every array, each check included, is read-only.
     """
 
     n: int
     k: int
-    checks: list
+    checks: tuple
     column_permutation: np.ndarray
     redundant_checks: tuple
     parity_matrix: np.ndarray = field(repr=False)  # (n - k, k) over GF(2)
@@ -83,8 +85,10 @@ class LdpcCode:
         # long-lived arrays do not pin the top of the heap (1.5 MB of peak RSS)
         layout = _slot_layout(n, norm_checks)
         parity, perm, redundant = _gf2_systematize(n, norm_checks)
+        for arr in (*norm_checks, perm, parity, *layout):
+            arr.flags.writeable = False
         k = n - parity.shape[0]
-        return cls(n, k, norm_checks, perm, redundant, parity, *layout)
+        return cls(n, k, tuple(norm_checks), perm, redundant, parity, *layout)
 
     @property
     def num_checks(self):

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SPC3_ALIST
+from conftest import HAMMING74_ALIST, SPC3_ALIST
 from scvamp.codes import (
     BUILTIN_SEEDS,
     AlistParseError,
@@ -67,6 +67,39 @@ def test_header_lookup_agrees_with_load(tmp_path, text):
     path = tmp_path / "c.alist"
     path.write_bytes(text.encode("ascii"))
     assert code_length(str(path)) == load_code(str(path))[0].n
+
+
+def test_a_code_text_is_loaded_once_per_process():
+    assert load_code("builtin:r12-n2304")[0] is load_code("builtin:r12-n2304")[0]
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path):
+    path = tmp_path / "c.alist"
+    path.write_text(SPC3_ALIST)
+    before = load_code(str(path))[0]
+    path.write_text(HAMMING74_ALIST)
+    after = load_code(str(path))[0]
+    assert after is not before
+    assert [c.tolist() for c in after.checks] == [[0, 2, 4, 6], [1, 2, 5, 6], [3, 4, 5, 6]]
+
+
+def test_a_loaded_code_is_read_only():
+    code = load_code("builtin:r12-n128")[0]
+    assert isinstance(code.checks, tuple)
+    arrays = [*code.checks, code.column_permutation, code.parity_matrix,
+              code.slot_var, code.var_slots, code.pad_slots]
+    assert not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+def test_a_malformed_file_raises_on_every_load(tmp_path):
+    path = tmp_path / "c.alist"
+    path.write_text(SPC3_ALIST.replace("1 2 3", "1 2 4"))  # a variable past n = 3
+    for _ in range(2):
+        with pytest.raises(AlistParseError, match="out of range"):
+            load_code(str(path))
 
 
 @pytest.mark.parametrize("header", ["3", "0 1", "3 -1", "3 x"])
