@@ -32,7 +32,7 @@ def _parse_snr_list(text):
         if not count or len({f"{a + i * step:g}" for i in far}) < len(far):
             raise ValueError("SNR points must not repeat, as numbers or as CSV labels")
         return tuple(a + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(",") if p)
+    return tuple(float(p) for p in text.split(","))
 
 
 def build_parser():
@@ -66,8 +66,8 @@ def build_parser():
     parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--out", dest="output_path", required=True, help="output CSV path")
     parser.add_argument("--workers", type=int,
-                        help="worker processes, capped at --max-seeds and the CPU "
-                             "count; each holds one seed in flight")
+                        help="worker processes, capped at --max-seeds and the CPUs "
+                             "this process may run on; each holds one seed in flight")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp comment for byte-identical reruns")
     return parser
@@ -83,7 +83,7 @@ def parse_cli(argv=None) -> SweepConfig:
     try:
         fields["snr_db_list"] = _parse_snr_list(fields["snr_db_list"])
         if "variants" in fields:
-            fields["variants"] = tuple(name for name in fields["variants"].split(",") if name)
+            fields["variants"] = tuple(fields["variants"].split(","))
         return SweepConfig(**fields)
     except (ValueError, OSError) as exc:  # OSError: the code file cannot be opened
         parser.error(str(exc))

@@ -1,11 +1,9 @@
 """Code files: the alist format, code references and the bundled codes.
 
 A reference ``builtin:<id>`` names a bundled alist file; anything else is a
-path.  Both kinds resolve, fit ``--h`` and load the same way.
-:func:`code_length` reads the header alone, so a sweep rejects a bad
-reference or an unfitting ``--h`` before any frame; only a malformed body
-waits for :func:`load_code`.  Both split lines and read the header ``n m``
-through the same two helpers, so they accept the same headers.
+path.  :func:`load_code` is the one reader of either kind: it resolves the
+reference, reads the file and parses it whole, so a sweep checks its code
+(and whether ``--h`` fits it) by loading it before any frame.
 
 A code text is parsed and eliminated once per process, and every load of
 it shares the one immutable :class:`LdpcCode`.  The cache is keyed on the
@@ -37,37 +35,21 @@ def builtin_code_ids():
     return sorted(f"r12-n{n}" for n in BUILTIN_SEEDS)
 
 
-def _resolve(ref):
-    """``(file, CSV label)`` of a code reference; the label is the builtin id or the file stem."""
-    if not ref.startswith("builtin:"):
-        return Path(ref), os.path.splitext(os.path.basename(ref))[0]
-    code_id = ref[len("builtin:"):]
-    if code_id not in builtin_code_ids():
-        raise ValueError(f"unknown builtin code {code_id!r}; known: {builtin_code_ids()}")
-    return resources.files(__package__).joinpath(code_id.replace("-", "_") + ".alist"), code_id
-
-
-def code_label(ref):
-    return _resolve(ref)[1]
-
-
-def code_length(ref) -> int:
-    """Block length n from the alist header ``n m``, the first non-blank line alone."""
-    with _resolve(ref)[0].open("rb") as fh:
-        # split as str.splitlines splits the whole text in load_code
-        lines = (line for raw in fh for line in raw.decode("ascii").splitlines())
-        try:
-            return _alist_header(*next(_alist_rows(lines), (None, [])))[0]
-        except ValueError:  # AlistParseError, or a header that is not ASCII
-            raise ValueError(f"code file {ref!r} does not start with an alist header 'n m'")
-
-
 def load_code(ref):
-    """``(code, label)`` of a code reference; a malformed body raises AlistParseError.
+    """``(code, label)`` of a code reference; the label is the builtin id or the file stem.
 
-    The file is read on every call, but its code is built once per process and shared.
+    An unknown builtin raises ValueError, an unreadable file OSError and a
+    malformed one AlistParseError.  The file is read on every call, but its
+    code is built once per process and shared, so a config check's load and
+    the run's own cost one parse.
     """
-    path, label = _resolve(ref)
+    if ref.startswith("builtin:"):
+        label = ref[len("builtin:"):]
+        if label not in builtin_code_ids():
+            raise ValueError(f"unknown builtin code {label!r}; known: {builtin_code_ids()}")
+        path = resources.files(__package__).joinpath(label.replace("-", "_") + ".alist")
+    else:
+        path, label = Path(ref), os.path.splitext(os.path.basename(ref))[0]
     return parse_alist(path.read_text(encoding="ascii")), label
 
 
@@ -85,24 +67,6 @@ class AlistParseError(ValueError):
         super().__init__(message)
 
 
-def _alist_rows(lines):
-    """``(line number, integer tokens)`` of each non-blank line, numbered from 1."""
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped:
-            try:
-                yield lineno, [int(tok) for tok in stripped.split()]
-            except ValueError:
-                raise AlistParseError(f"non-integer token in {stripped!r}", line=lineno)
-
-
-def _alist_header(lineno, header):
-    """``[n, m]`` of the first non-blank row: two integers, ``n >= 1`` and ``m >= 0``."""
-    if len(header) != 2 or header[0] <= 0 or header[1] < 0:
-        raise AlistParseError(f"malformed header {header!r}, expected 'n m'", line=lineno)
-    return header
-
-
 @functools.lru_cache(maxsize=8)  # room for the five builtins and a few code files
 def parse_alist(text) -> LdpcCode:
     """Parse the standard alist description of a sparse parity-check matrix.
@@ -116,11 +80,20 @@ def parse_alist(text) -> LdpcCode:
     call with an equal text returns the same immutable code.  A malformed
     text raises on every call: an exception is never cached.
     """
-    rows = list(_alist_rows(text.splitlines()))
+    rows = []  # (line number from 1, integer tokens) of each non-blank line
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip():
+            try:
+                rows.append((lineno, [int(tok) for tok in raw.split()]))
+            except ValueError:
+                raise AlistParseError(f"non-integer token in {raw.strip()!r}", line=lineno)
     if len(rows) < 4:
         raise AlistParseError("file too short for an alist header")
 
-    n, m = _alist_header(*rows[0])
+    lineno, header = rows[0]
+    if len(header) != 2 or header[0] <= 0 or header[1] < 0:
+        raise AlistParseError(f"malformed header {header!r}, expected 'n m'", line=lineno)
+    n, m = header
     if m == 0:  # the row-degree line is empty, so it was skipped with the blank lines
         rows.insert(3, (rows[2][0], []))
     lineno, maxdeg = rows[1]

@@ -38,7 +38,7 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import build_scenario, fit_h_mode, realize
-from .codes import code_label, code_length, load_code
+from .codes import load_code
 from .likelihood import ChannelSpec
 from .runner import Variant, run_variant
 
@@ -85,10 +85,11 @@ class SweepConfig:
             # not abspath, which drops the trailing separator of "missing/"
             if not os.path.isdir(os.path.dirname(self.output_path) or os.curdir):
                 raise ValueError(f"the directory of {self.output_path!r} does not exist")
-        label = code_label(self.code)
+        # the whole code is parsed now, and the run's own load_code is a cache hit
+        code, label = load_code(self.code)
         if not label.isascii() or set(label) & set(",\r\n"):
             raise ValueError(f"CSV code label {label!r} must be ASCII with no comma or line break")
-        fit_h_mode(self.h_mode, code_length(self.code))
+        fit_h_mode(self.h_mode, code.n)
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         # two points must differ as numbers (0 and -0 do not) and as CSV labels (6 and 6.000001)
         snrs = self.snr_db_list
@@ -176,15 +177,20 @@ def _iterate_seeds(code, config, record):
     This is the only place that knows which ``(snr, variant)`` pairs are still
     drawing seeds.  Seeds ``0 .. max_seeds - 1`` (offset by ``master_seed``
     for the draws) are dispatched in order, each with the pairs active at that
-    moment, and at most ``min(workers, max_seeds, os.cpu_count())`` of them
-    are in flight.  ``record`` is called once per active pair and seed,
-    strictly in seed order, with ``run_variant``'s result; a pair for which it
-    returns False is never recorded again, and dispatching stops once no pair
-    is active.  With a window of one, each seed runs in this process when it
-    is recorded, so no frame is decoded that is not recorded; a larger window
-    runs on a spawned pool of that many processes that lives for this call.
+    moment, and at most ``min(workers, max_seeds, CPUs)`` of them are in
+    flight.  CPUs counts the CPUs this process may run on, its affinity mask
+    where the platform has one: under a cpuset or ``taskset`` the host's
+    ``os.cpu_count()`` would overcount.  ``record`` is called once per active
+    pair and seed, strictly in seed order, with ``run_variant``'s result; a
+    pair for which it returns False is never recorded again, and dispatching
+    stops once no pair is active.  With a window of one, each seed runs in
+    this process when it is recorded, so no frame is decoded that is not
+    recorded; a larger window runs on a spawned pool of that many processes
+    that lives for this call.
     """
-    size = min(config.workers, config.max_seeds, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    size = min(config.workers, config.max_seeds, cpus)
     pool = multiprocessing.get_context("spawn").Pool(
         size, initializer=_pool_init, initargs=(code, config)
     ) if size > 1 else None

@@ -287,6 +287,9 @@ def test_sweep_config_validation(small_code_path):
     ["--variant", ""],
     ["--variant", ","],
     ["--snr-db", "3:9"],  # a range with no step
+    # an empty item of a comma list is not skipped
+    ["--snr-db", "6,,9"],
+    ["--variant", "scvamp3,"],
 ])
 def test_experiment_and_code_usage_errors(small_code_path, tmp_path, flags):
     with pytest.raises(SystemExit) as err:
@@ -310,12 +313,14 @@ def test_bad_out_is_usage_error(small_code_path, tmp_path, out):
     ("headless.alist", "iid:128x128"),  # the first line is not "n m"
     ("n128.alist", "blockdiag:48"),
     ("n128.alist", "iid:128x64"),
+    ("broken.alist", "iid:48x48"),  # the header fits --h, the body is cut short
 ])
 def test_alist_reference_is_checked_before_any_frame(tmp_path, code, h_mode):
-    # an alist file resolves and fits --h as a builtin id does
+    # an alist file resolves, loads and fits --h as a builtin id does
     text = serialize_alist(load_code("builtin:r12-n128")[0])
     (tmp_path / "n128.alist").write_text(text)
     (tmp_path / "headless.alist").write_text("128\n" + text.split("\n", 1)[1])
+    (tmp_path / "broken.alist").write_text("48 24\n3 6\n")
     with pytest.raises(SystemExit) as err:
         main(["--snr-db", "6", "--code", str(tmp_path / code), "--h", h_mode,
               "--out", str(tmp_path / "o.csv")])
@@ -579,12 +584,13 @@ def test_main_end_to_end_mse_trace(small_code_path, tmp_path):
     assert out.exists()
 
 
-def test_main_runtime_error_exit_code(tmp_path, capsys):
-    # the header fits --h, so the broken body is found only when the run loads the code
-    code_path = tmp_path / "broken.alist"
-    code_path.write_text("48 24\n3 6\n")
-    rc = main(["--snr-db", "6", "--code", str(code_path),
-               "--h", "iid:48x48", "--out", str(tmp_path / "o.csv")])
+def test_main_runtime_error_exit_code(small_code_path, tmp_path, capsys, monkeypatch):
+    # a valid config whose run fails, as a CSV write on a full disk would
+    def fail(config):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("scvamp.cli.ber_sweep", fail)
+    rc = main(_base_args(small_code_path, tmp_path / "o.csv"))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()

@@ -1,4 +1,4 @@
-"""The bundled codes are what README says, their seeds rebuild them, and headers read alike."""
+"""The bundled codes are what README says, their seeds rebuild them, and loads read headers."""
 
 import hashlib
 
@@ -10,13 +10,13 @@ from scvamp.codes import (
     BUILTIN_SEEDS,
     AlistParseError,
     builtin_code_ids,
-    code_length,
     load_code,
     make_regular_checks,
     make_regular_code,
     serialize_alist,
 )
 from scvamp.denoiser import LdpcCode
+from scvamp.experiment import SweepConfig
 
 
 @pytest.mark.parametrize("code_id", builtin_code_ids())
@@ -64,9 +64,12 @@ _SPC3_BODY = SPC3_ALIST.split("\n", 1)[1]
     serialize_alist(LdpcCode.from_checks(16, [])),  # m = 0: no row-degree line
 ], ids=["plus-sign", "separator-line", "tab", "no-checks"])
 def test_header_lookup_agrees_with_load(tmp_path, text):
+    # a config looks n up by loading the code, so --h fits the length the header declares
     path = tmp_path / "c.alist"
     path.write_bytes(text.encode("ascii"))
-    assert code_length(str(path)) == load_code(str(path))[0].n
+    n = int(text.split()[0])
+    assert load_code(str(path))[0].n == n
+    SweepConfig(snr_db_list=(6.0,), code=str(path), h_mode=f"iid:{n}x{n}")
 
 
 def test_a_code_text_is_loaded_once_per_process():
@@ -106,10 +109,10 @@ def test_a_malformed_file_raises_on_every_load(tmp_path):
 def test_header_lookup_and_load_reject_the_same_header(tmp_path, header):
     path = tmp_path / "c.alist"
     path.write_text(f"{header}\n{_SPC3_BODY}")
-    with pytest.raises(ValueError, match="alist header"):
-        code_length(str(path))
-    with pytest.raises(AlistParseError):
+    with pytest.raises(AlistParseError, match="line 1"):
         load_code(str(path))
+    with pytest.raises(AlistParseError, match="line 1"):  # when the config is built
+        SweepConfig(snr_db_list=(6.0,), code=str(path), h_mode="iid:3x3")
 
 
 # sha256 over the shape and bytes of the encoder's permutation, parity map and

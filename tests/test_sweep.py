@@ -171,7 +171,8 @@ def test_dispatcher_records_each_active_pair_in_seed_order(monkeypatch):
 def test_pooled_dispatcher_keeps_one_seed_per_process_in_flight(monkeypatch):
     # two processes hold two seeds: pair_a stops when seed 3 is recorded, by which time
     # seed 4 is in flight, and it is in no seed dispatched after that
-    monkeypatch.setattr(scvamp.experiment.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(scvamp.experiment.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     (pair_a, pair_b), recorded, works = _dispatch(monkeypatch, workers=2)
     assert recorded == {pair_a: [0, 1, 2, 3], pair_b: list(range(40))}
     assert sorted(works) == list(range(100, 140))
@@ -195,7 +196,8 @@ def test_serial_sweep_decodes_only_recorded_frames(monkeypatch):
 
 
 # the pool is as large as the window of seeds in flight: workers, capped by the
-# seed count and the CPU count, and a window of one runs in this process
+# seed count and the CPUs this process may run on (not the host's count), and a
+# window of one runs in this process
 @pytest.mark.parametrize("workers, max_seeds, cpus, sizes", [
     pytest.param(64, 24, 4, [4], id="64-4"),
     pytest.param(3, 24, 8, [3], id="3-3"),
@@ -204,7 +206,9 @@ def test_serial_sweep_decodes_only_recorded_frames(monkeypatch):
 ])
 def test_pool_is_no_larger_than_a_dispatch_block(
         monkeypatch, tmp_path, workers, max_seeds, cpus, sizes):
-    monkeypatch.setattr(scvamp.experiment.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(scvamp.experiment.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(scvamp.experiment.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
     created = _pool_in_process(monkeypatch)
     config = dataclasses.replace(PINNED, snr_db_list=(8.0,), workers=workers, max_seeds=max_seeds)
     csv = _sweep_csv(config, tmp_path / "pooled.csv")
