@@ -39,9 +39,9 @@ def load_code(ref):
     """``(code, label)`` of a code reference; the label is the builtin id or the file stem.
 
     An unknown builtin raises ValueError, an unreadable file OSError and a
-    malformed one AlistParseError.  The file is read on every call, but its
-    code is built once per process and shared, so a config check's load and
-    the run's own cost one parse.
+    malformed or non-ASCII one AlistParseError, led by the reference.  The file
+    is read on every call, but its code is built once per process and shared,
+    so a config check's load and the run's own cost one parse.
     """
     if ref.startswith("builtin:"):
         label = ref[len("builtin:"):]
@@ -50,7 +50,13 @@ def load_code(ref):
         path = resources.files(__package__).joinpath(label.replace("-", "_") + ".alist")
     else:
         path, label = Path(ref), os.path.splitext(os.path.basename(ref))[0]
-    return parse_alist(path.read_text(encoding="ascii")), label
+    try:
+        return parse_alist(path.read_bytes().decode("ascii")), label
+    except UnicodeDecodeError as exc:
+        raise AlistParseError(f"{ref}: non-ASCII byte at offset {exc.start}") from None
+    except AlistParseError as exc:  # the reference goes in front; the type and .line stay
+        exc.args = (f"{ref}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,17 @@ stage needs reduces to sums over the N eigenvalues lam of ``H^T H``:
     v_post_w    = mean over M of lam * sigma2(lam)
 
 so the eigendecomposition is computed once per matrix and every subsequent
-call costs a few matrix-vector products, never a dense inversion.  Every
-matrix is one block repeated on the diagonal, ``H = I_R ⊗ A`` (dense is
-``R = 1``), and only A and the basis U of the block's smaller gram are held;
-each product with H is R products with A.  A square or tall block (m_b >= n_b)
-decomposes ``A^T A`` and forms the x mean as
+call costs a few matrix-vector products, never a dense inversion.  The stage
+reads H only through ``m``, ``n``, ``eigenvalues``, ``apply``, ``apply_t``
+and ``x_mean``; how H is stored is :class:`MixingMatrix`'s alone.  A square
+or tall block A of ``H = I_R ⊗ A`` decomposes ``A^T A``, and ``x_mean``
+takes the normal form
 
     x_post      = (I_R ⊗ U) diag(sigma2) (I_R ⊗ U)^T (r_x / v_x + H^T r_w / v_w)
 
 A wide block (m_b < n_b) decomposes the smaller ``A A^T``, whose m_b
-eigenvalues are those of ``A^T A`` that can be nonzero, and forms the x mean
-in residual form, which cancels no large terms however small v_w is:
+eigenvalues are those of ``A^T A`` that can be nonzero, and ``x_mean`` takes
+the residual form, which cancels no large terms however small v_w is:
 
     x_post      = r_x + v_x H^T (I_R ⊗ U) diag(1 / (v_w + v_x * lam_M))
                   (I_R ⊗ U)^T (r_w - H r_x)
@@ -40,14 +40,13 @@ from .messages import GaussianMessage, PosteriorSummary
 class MixingMatrix:
     """The channel matrix ``H = I_R ⊗ A`` with its cached gram eigendecomposition.
 
-    ``block`` is ``A`` (m_b x n_b) and ``repeats`` is R, so H is
-    ``R m_b x R n_b``; a dense matrix has ``repeats == 1``.  ``eigenvectors``
-    is the orthonormal basis U of the block's smaller gram: ``A^T A``
-    (n_b x n_b) when m_b >= n_b, else ``A A^T`` (m_b x m_b).  ``eigenvalues``
-    is N long: the block's n_b eigenvalues of ``A^T A`` clamped to be
-    nonnegative, tiled R times; a wide block's n_b are U's m_b values followed
-    by n_b - m_b exact zeros.  Immutable after construction and safe to share
-    across threads.
+    Interface: H is ``m x n``; ``eigenvalues`` holds the N eigenvalues of
+    ``H^T H``, clamped at zero; ``apply``, ``apply_t`` and ``x_mean`` form
+    ``H x``, ``H^T w`` and the coupling's x mean.  Storage, read by these
+    methods alone: ``block`` is A (m_b x n_b), ``repeats`` is R (dense is 1),
+    and ``eigenvectors`` is the orthonormal basis U of ``A^T A`` if m_b >= n_b,
+    else of ``A A^T``.  ``eigenvalues`` tiles the block's n_b values R times;
+    a wide block's are U's m_b then n_b - m_b exact zeros.  Immutable, thread-safe.
     """
 
     block: np.ndarray
@@ -76,6 +75,19 @@ class MixingMatrix:
         """``H^T w``, one matrix-vector product per block."""
         return (self.block.T @ np.reshape(w, (self.repeats, -1, 1))).reshape(-1)
 
+    def x_mean(self, rx_mean, vx, rw_mean, vw, sigma2):
+        """The coupling's x mean from its N eigen-variances ``sigma2``: normal or residual form."""
+        u = self.eigenvectors
+        m_b, n_b = self.block.shape
+        if wide := m_b < n_b:
+            scale = 1.0 / (vw + vx * self.eigenvalues.reshape(self.repeats, n_b)[:, :m_b])
+            rhs = rw_mean - self.apply(rx_mean)
+        else:
+            scale, rhs = sigma2, rx_mean / vx + self.apply_t(rw_mean) / vw
+        proj = rhs.reshape(self.repeats, -1) @ u  # row r holds U^T rhs_r
+        basis = ((scale.reshape(proj.shape) * proj) @ u.T).reshape(-1)
+        return rx_mean + vx * self.apply_t(basis) if wide else basis
+
 
 def precompute(block, repeats=1) -> MixingMatrix:
     """Cache the gram eigendecomposition of ``H = I_R ⊗ block``.
@@ -99,14 +111,6 @@ def precompute(block, repeats=1) -> MixingMatrix:
     return MixingMatrix(a, r, np.tile(lam, r), u)
 
 
-def _apply_posterior_basis(mix: MixingMatrix, scale, rhs):
-    """Evaluate ``(I_R ⊗ U) diag(scale) (I_R ⊗ U)^T rhs`` with the cached basis."""
-    u = mix.eigenvectors
-    shape = (mix.repeats, u.shape[0])
-    proj = rhs.reshape(shape) @ u  # row r holds U^T rhs_r
-    return ((scale.reshape(shape) * proj) @ u.T).reshape(-1)
-
-
 def coupling_posterior(
     rx: GaussianMessage, rw: GaussianMessage, mix: MixingMatrix
 ) -> tuple[PosteriorSummary, PosteriorSummary]:
@@ -120,20 +124,10 @@ def coupling_posterior(
         raise ValueError(f"r_x has length {len(rx)}, expected N={mix.n}")
     if len(rw) != mix.m:
         raise ValueError(f"r_w has length {len(rw)}, expected M={mix.m}")
-    vx = rx.variance
-    vw = rw.variance
-    lam = mix.eigenvalues
-
+    vx, vw, lam = rx.variance, rw.variance, mix.eigenvalues
     ratios = vw / (vw + vx * lam)
     sigma2 = vx * ratios  # posterior eigen-variances
-    m_b, n_b = mix.block.shape
-    if m_b < n_b:  # residual form on the m_b x m_b basis of A A^T
-        gain = 1.0 / (vw + vx * lam.reshape(mix.repeats, n_b)[:, :m_b])
-        resid = rw.mean - mix.apply(rx.mean)
-        x_mean = rx.mean + vx * mix.apply_t(_apply_posterior_basis(mix, gain, resid))
-    else:
-        rhs = rx.mean / vx + mix.apply_t(rw.mean) / vw
-        x_mean = _apply_posterior_basis(mix, sigma2, rhs)
+    x_mean = mix.x_mean(rx.mean, vx, rw.mean, vw, sigma2)
     w_mean = mix.apply(x_mean)
 
     alpha_x = float(np.mean(ratios))

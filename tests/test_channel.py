@@ -39,7 +39,7 @@ def test_substreams_independent_of_draw_order():
     assert not np.allclose(first, substream(3, "H").normal(size=4))
 
 
-def test_gen_h_iid_statistics():
+def test_iid_h_statistics():
     mix = _h("iid:256x256", 256, 0)
     entries = mix.block
     assert abs(entries.mean()) < 4.0 / np.sqrt(256 * 256 * 256)
@@ -47,7 +47,7 @@ def test_gen_h_iid_statistics():
     assert mix.eigenvalues.shape == (256,)
 
 
-def test_gen_h_iid_seed_determinism():
+def test_iid_h_seed_determinism():
     a = _h("iid:8x8", 8, 5)
     np.testing.assert_array_equal(a.block, _h("iid:8x8", 8, 5).block)
     # the block is the H sub-stream's first draw, at variance 1/rows
@@ -95,14 +95,14 @@ def test_bpsk_mapping():
     np.testing.assert_array_equal((bpsk(bits) < 0).astype(int), bits)
 
 
-def test_transmit_noiseless_identity():
+def test_realize_noiseless_identity():
     scenario = _scenario("iid:6x6", 6, ChannelSpec("id", 1e-300), 4)
     truth = realize(scenario)
     x = bpsk(truth.codeword)
     np.testing.assert_allclose(truth.y, scenario.h.block @ x, atol=1e-100)
 
 
-def test_transmit_tanh_bounded():
+def test_realize_tanh_bounded():
     scenario = _scenario("iid:8x8", 8, ChannelSpec("tanh", 0.3), 5)
     truth = realize(scenario)
     # σ z is normal(0, σ) on the noise sub-stream, bit for bit

@@ -328,6 +328,18 @@ def test_alist_reference_is_checked_before_any_frame(tmp_path, code, h_mode):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text", [b"48 24\n3 6\n", b"48 24\n3 6\n1 2 \xc3\xa9\n"],
+                         ids=["short", "non-ascii"])
+def test_a_bad_code_file_is_named_in_the_usage_error(tmp_path, capsys, text):
+    (tmp_path / "broken.alist").write_bytes(text)
+    with pytest.raises(SystemExit) as err:
+        main(["--snr-db", "6", "--code", str(tmp_path / "broken.alist"), "--h", "iid:48x48",
+              "--out", str(tmp_path / "o.csv")])
+    assert err.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+    assert f"error: {tmp_path / 'broken.alist'}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["ber", "mse-trace"])
 def test_empty_out_is_usage_error(small_code_path, experiment):
     # an empty path would run the whole sweep and then write nothing

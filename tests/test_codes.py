@@ -105,6 +105,20 @@ def test_a_malformed_file_raises_on_every_load(tmp_path):
             load_code(str(path))
 
 
+def test_a_load_error_names_the_file_and_keeps_its_line(tmp_path):
+    path = tmp_path / "c.alist"
+    path.write_text(SPC3_ALIST.replace("1 2 3", "1 2 4"))  # line 8
+    for _ in range(2):  # the parse cache holds no error, so the name is added once per load
+        with pytest.raises(AlistParseError) as err:
+            load_code(str(path))
+        assert str(err.value) == f"{path}: line 8: row 1 index out of range (max 3)"
+        assert err.value.line == 8
+    path.write_bytes(SPC3_ALIST.encode("ascii").replace(b"1 3", b"1 \xc3"))
+    with pytest.raises(AlistParseError) as err:
+        load_code(str(path))
+    assert str(err.value) == f"{path}: non-ASCII byte at offset 6"
+
+
 @pytest.mark.parametrize("header", ["3", "0 1", "3 -1", "3 x"])
 def test_header_lookup_and_load_reject_the_same_header(tmp_path, header):
     path = tmp_path / "c.alist"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from oracles import (
     log_gaussian_coupling_normalizer,
     refined_coupling_mean,
 )
+from scvamp.channel import build_scenario, realize
+from scvamp.codes import load_code
 from scvamp.coupling import coupling_posterior, precompute
 from scvamp.messages import GaussianMessage, extrinsic
+from scvamp.runner import Variant, run_variant
 
 
 def _msg(mean, v):
@@ -340,3 +345,46 @@ def test_dimension_mismatch_errors():
         coupling_posterior(_msg(np.zeros(2), 1.0), _msg(np.zeros(3), 1.0), mix)
     with pytest.raises(ValueError):
         coupling_posterior(_msg(np.zeros(3), 1.0), _msg(np.zeros(4), 1.0), mix)
+
+
+class _InterfaceOnly:
+    """A real mixing matrix seen through its interface; any other attribute raises."""
+
+    NAMES = frozenset({"m", "n", "eigenvalues", "apply", "apply_t", "x_mean"})
+
+    def __init__(self, mix):
+        self._mix = mix
+
+    def __getattr__(self, name):
+        if name not in self.NAMES:
+            raise AttributeError(f"{name!r} is not part of the mixing-matrix interface")
+        return getattr(self._mix, name)
+
+
+@pytest.mark.parametrize("h_mode", ["iid:96x128", "iid:128x128", "blockdiag:32"])
+def test_coupling_and_a_frame_use_only_the_matrix_interface(h_mode):
+    # how H is stored (block, repeats, eigenvectors, the eigenvalue padding) is the
+    # matrix's own business: the stage and the outer loop give the same bits without it
+    scenario = build_scenario(load_code("builtin:r12-n128")[0], h_mode, 6.0, "tanh", 4)
+    view = _InterfaceOnly(scenario.h)
+    with pytest.raises(AttributeError):
+        view.block
+    rng = np.random.default_rng(23)
+    rx = _msg(rng.normal(size=view.n), 0.7)
+    for vw in (1.3, 1e-6):
+        rw = _msg(rng.normal(size=view.m), vw)
+        for got, want in zip(coupling_posterior(rx, rw, view),
+                             coupling_posterior(rx, rw, scenario.h)):
+            np.testing.assert_array_equal(got.mean.view(np.int64), want.mean.view(np.int64))
+            assert (got.variance, got.alpha) == (want.variance, want.alpha)
+
+    truth = realize(scenario)
+    got = run_variant(Variant.SCVAMP3, truth, replace(scenario, h=view), 20, 20)
+    want = run_variant(Variant.SCVAMP3, truth, scenario, 20, 20)
+    assert len(want.trace.mse) > 1
+    for name in ("mse", "v_x", "v_w", "alphas"):
+        np.testing.assert_array_equal(getattr(got.trace, name).view(np.int64),
+                                      getattr(want.trace, name).view(np.int64), err_msg=name)
+    np.testing.assert_array_equal(got.hard_bits, want.hard_bits)
+    assert (got.bit_errors, got.converged_iteration, got.diverged) == (
+        want.bit_errors, want.converged_iteration, want.diverged)

@@ -1,4 +1,4 @@
-"""Every dotted ``scvamp.`` name that README or a module docstring cites exists."""
+"""Every dotted ``scvamp.`` name that README or a docstring under ``src/scvamp`` cites exists."""
 
 import ast
 import importlib
@@ -31,8 +31,9 @@ def _resolves(name):
 def _documents():
     yield "README.md", README.read_text()
     for path in sorted(PACKAGE.rglob("*.py")):
-        doc = ast.get_docstring(ast.parse(path.read_text())) or ""
-        yield str(path.relative_to(PACKAGE.parent)), doc
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield str(path.relative_to(PACKAGE.parent)), ast.get_docstring(node) or ""
 
 
 def test_documented_names_resolve():
@@ -40,6 +41,13 @@ def test_documented_names_resolve():
     assert {source for source, _ in cited} >= {"README.md", "scvamp/__init__.py"}
     missing = sorted(f"{source}: {name}" for source, name in cited if not _resolves(name))
     assert not missing, f"documented names that do not exist: {missing}"
+
+
+def test_class_and_function_docstrings_are_read():
+    # runner's module docstring cites no scvamp name; IterationTrace's docstring does
+    cited = {name for source, text in _documents() if source == "scvamp/runner.py"
+             for name in _DOTTED.findall(text)}
+    assert "scvamp.messages.extrinsic" in cited
 
 
 def test_resolver_checks_the_module_and_every_attribute():
